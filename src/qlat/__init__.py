@@ -7,8 +7,8 @@ q-lattices, tree-counting polynomials and lattice isomorphisms, each
 backed by an independent brute-force oracle at desk scale.
 """
 
-from .laurent import LaurentPoly, QFraction, QTElement, frac_reduce, poly_gcd
-from .matrices import QMatrix, mat_det, mat_inverse, mat_star
+from .laurent import LaurentPoly, QFraction, QTElement, poly_gcd
+from .matrices import QMatrix
 from .graphs import (OrientedMultigraph, SpanningTree, cycle_space_gf2,
                      enumerate_spanning_trees, fundamental_cut,
                      fundamental_cycle, tree_overlap_counts, validate)

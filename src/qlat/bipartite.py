@@ -124,14 +124,10 @@ def vec_dot(u, v):
 
 def classical_gram(b, side):
     """Integer Gram matrix of the fundamental cycles (flow) or cuts (cut)."""
-    if side == "flow":
-        labels = b.part1
-        vecs = [b_cycle(b, j) for j in labels]
-    elif side == "cut":
-        labels = b.part0
-        vecs = [b_cut(b, i) for i in labels]
-    else:
+    if side not in ("flow", "cut"):
         raise ValueError("side must be 'flow' or 'cut'")
+    labels, vector = (b.part1, b_cycle) if side == "flow" else (b.part0, b_cut)
+    vecs = [vector(b, v) for v in labels]
     ent = [[vec_dot(u, v) for v in vecs] for u in vecs]
     return QMatrix(ent, labels, labels)
 

@@ -19,7 +19,7 @@ from . import algebra, render
 from .bipartite import build_bipartite, dual
 from .fileio import ParseError, emit_bipartite, parse_bipartite, parse_graph, sniff_kind
 from .graphs import validate
-from .invariants import (instance_checks, matrix_tree_enum_oracle,
+from .invariants import (bipartite_checks, instance_checks, matrix_tree_enum_oracle,
                          q_matrix_tree, two_iso_search, verify_q2iso_pair)
 from .families import graph_tree_instances
 from .lattices import (SignedPermutation, change_basis, cut_qlattice,
@@ -81,10 +81,8 @@ def _print(s):
 # -- subcommand handlers -----------------------------------------------------
 
 
-def cmd_build_bipartite(args):
-    g, t, name = _load_graph(args.file)
-    b = build_bipartite(g, t, force=True)
-    if args.format == "json":
+def _print_bipartite(b, name, fmt, text_suffix=""):
+    if fmt == "json":
         _print(json.dumps({
             "name": name,
             "part0": list(b.part0),
@@ -92,22 +90,18 @@ def cmd_build_bipartite(args):
             "sedges": [[i, j, s] for (i, j), s in sorted(b.signs.items())],
         }, sort_keys=True))
     else:
-        sys.stdout.write(emit_bipartite(b, name))
+        sys.stdout.write(emit_bipartite(b, name + text_suffix))
+
+
+def cmd_build_bipartite(args):
+    g, t, name = _load_graph(args.file)
+    _print_bipartite(build_bipartite(g, t, force=True), name, args.format)
     return 0
 
 
 def cmd_dual(args):
     b, _, _, name = _load_any(args.file)
-    d = dual(b)
-    if args.format == "json":
-        _print(json.dumps({
-            "name": name,
-            "part0": list(d.part0),
-            "part1": list(d.part1),
-            "sedges": [[i, j, s] for (i, j), s in sorted(d.signs.items())],
-        }, sort_keys=True))
-    else:
-        sys.stdout.write(emit_bipartite(d, name + "-dual"))
+    _print_bipartite(dual(b), name, args.format, text_suffix="-dual")
     return 0
 
 
@@ -245,24 +239,10 @@ def cmd_algebra(args):
 
 
 def _per_input_checks(b, g, t, seed=20250801):
-    checks = {}
     if g is not None:
-        report = validate(g, t)
-        checks["validation"] = report.ok
-        checks.update(instance_checks(g, t))
+        checks = {"validation": validate(g, t).ok, **instance_checks(g, t)}
     else:
-        from .invariants import (flow_cut_duality_ok, koszul_identity_ok,
-                                 lattice_routes_agree, simples_match_inverse,
-                                 specialization_matches_classical, verify_glue)
-        glue = verify_glue(b)
-        checks["glue_orthogonal"] = glue.orthogonal
-        checks["glue_dets_equal"] = glue.dets_equal
-        checks["glue_k0_unimodular"] = glue.k0_unimodular
-        checks["classical_specialization"] = specialization_matches_classical(b)
-        checks["lattice_routes_agree"] = lattice_routes_agree(b)
-        checks["flow_cut_duality"] = flow_cut_duality_ok(b)
-        checks["koszul_identity"] = koszul_identity_ok(b)
-        checks["simples_match_inverse"] = simples_match_inverse(b)
+        checks = bipartite_checks(b)
     checks["d_involution"] = _d_checks(b, seed)
     checks["rigidity_sampling"] = _rigidity_sampling(b, seed, samples=1000)
     checks["iso_round_trip"] = _iso_round_trip(b, seed, rounds=25)
@@ -356,7 +336,9 @@ def _family_checks(max_edges, jobs):
                 for idx, checks in pool.map(_family_instance_worker, packed,
                                             chunksize=8):
                     results[idx] = checks
-        except Exception:
+        except Exception as exc:
+            sys.stderr.write(f"warning: --jobs {jobs} pool failed ({exc!r}); "
+                             "running the family serially\n")
             results = {}
     if not results:
         for item in packed:

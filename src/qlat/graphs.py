@@ -120,71 +120,80 @@ class ValidationReport:
         return bool(self.violations) and self.codes() <= {"bridge"}
 
 
-def is_connected(g):
-    if g.vertex_count == 1:
-        return True
-    adj = g.adjacency()
-    seen = {1}
-    stack = [1]
+def _reach(adj, start):
+    """Vertices reachable from start in adj, each mapped to the (vertex, edge id)
+    it was first reached through; start maps to None."""
+    prev = {start: None}
+    stack = [start]
     while stack:
         v = stack.pop()
-        for _, w in adj[v]:
-            if w not in seen:
-                seen.add(w)
+        for eid, w in adj[v]:
+            if w not in prev:
+                prev[w] = (v, eid)
                 stack.append(w)
-    return len(seen) == g.vertex_count
+    return prev
+
+
+def _find(parent, x):
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _forest_edges(g, edge_ids):
+    """The edges of edge_ids, in the given order, that join two components."""
+    parent = list(range(g.vertex_count + 1))
+    chosen = []
+    for eid in edge_ids:
+        _, a, b = g.edge(eid)
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra != rb:
+            parent[ra] = rb
+            chosen.append(eid)
+    return chosen
+
+
+def is_connected(g):
+    return len(_reach(g.adjacency(), 1)) == g.vertex_count
 
 
 def bridges(g):
-    """Edge ids whose removal disconnects the graph (loops never qualify)."""
+    """Edge ids whose removal disconnects the graph, in increasing order.
+
+    Loops never qualify.  On a disconnected graph every non-loop edge
+    qualifies, since the graph stays disconnected without it.  One
+    iterative low-link pass (Tarjan, IPL 2 (1974) 160-161): a tree edge
+    u-v of the depth-first search is a bridge when no edge other than it
+    leads from v's subtree back to u or above.
+    """
+    adj = g.adjacency()
+    disc = {1: 0}
+    low = {1: 0}
     out = []
-    for eid, a, b in g.edges:
-        if a == b:
-            continue
-        if not _connected_without(g, eid):
-            out.append(eid)
-    return out
-
-
-def _connected_without(g, skip_eid):
-    if g.vertex_count == 1:
-        return True
-    adj = {v: [] for v in range(1, g.vertex_count + 1)}
-    for eid, a, b in g.edges:
-        if eid == skip_eid or a == b:
-            continue
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {1}
-    stack = [1]
+    stack = [(1, None, iter(adj[1]))]
     while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.vertex_count
-
-
-def _tree_is_spanning(g, t):
-    ids = t.tree_edges
-    if len(ids) != g.vertex_count - 1:
-        return False
-    dsu = list(range(g.vertex_count + 1))
-
-    def find(x):
-        while dsu[x] != x:
-            dsu[x] = dsu[dsu[x]]
-            x = dsu[x]
-        return x
-
-    for eid in ids:
-        _, a, b = g.edge(eid)
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        dsu[ra] = rb
-    return True
+        v, via, it = stack[-1]
+        for eid, w in it:
+            if eid == via:
+                continue
+            if w in disc:
+                low[v] = min(low[v], disc[w])
+            else:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, eid, iter(adj[w])))
+                break
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] > disc[u]:
+                    out.append(via)
+    if len(disc) < g.vertex_count:
+        return g.non_loop_edges()
+    return sorted(out)
 
 
 def validate(g, t):
@@ -210,7 +219,7 @@ def validate(g, t):
             out.append(Violation(
                 "tree_size",
                 f"tree has {len(t.tree_edges)} edges, expected {g.vertex_count - 1}"))
-        elif not loops and not _tree_is_spanning(g, t):
+        elif not loops and len(_forest_edges(g, t.tree_edges)) < len(t.tree_edges):
             out.append(Violation("tree_not_spanning",
                                  "tree edges do not form a spanning tree"))
     return ValidationReport(tuple(out))
@@ -229,17 +238,7 @@ def require_valid(g, t, force=False):
 
 def _tree_path(g, t, start, goal):
     """Edges of the unique tree path start -> goal as (edge_id, forward)."""
-    adj = g.adjacency(t.tree_edges)
-    prev = {start: None}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        if v == goal:
-            break
-        for eid, w in adj[v]:
-            if w not in prev:
-                prev[w] = (v, eid)
-                stack.append(w)
+    prev = _reach(g.adjacency(t.tree_edges), start)
     if goal not in prev:
         raise ValueError("tree does not connect the requested vertices")
     path = []
@@ -272,6 +271,11 @@ def fundamental_cycle(g, t, f):
     return tuple(vec)
 
 
+def cut_side(g, t, e):
+    """Vertices the tree minus the tree edge e still joins to e's tail."""
+    return _reach(g.adjacency(t.tree_edges - {e}), g.edge(e)[1]).keys()
+
+
 def fundamental_cut(g, t, e):
     """Signed vector of the cut determined by removing the tree edge e.
 
@@ -280,17 +284,7 @@ def fundamental_cut(g, t, e):
     """
     if e not in t.tree_edges:
         raise ValueError(f"edge {e} is not a tree edge")
-    _, tail, head = g.edge(e)
-    # side containing the tail, using the tree minus e
-    adj = g.adjacency(t.tree_edges - {e})
-    side = {tail}
-    stack = [tail]
-    while stack:
-        v = stack.pop()
-        for _, w in adj[v]:
-            if w not in side:
-                side.add(w)
-                stack.append(w)
+    side = cut_side(g, t, e)
     vec = [0] * g.edge_count
     for eid, a, b in g.edges:
         a_in, b_in = a in side, b in side
@@ -328,14 +322,7 @@ def enumerate_spanning_trees(g):
             return
         eid = cand[idx]
         _, a, b = g.edge(eid)
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             child = list(parent)
             child[ra] = rb
@@ -364,38 +351,18 @@ def cycle_space_gf2(g):
     """
     if not is_connected(g):
         raise ValueError("graph is not connected")
-    trees = _any_spanning_tree(g)
+    tree = SpanningTree(_forest_edges(g, range(1, g.edge_count + 1)))
     basis = []
     for eid in range(1, g.edge_count + 1):
-        if eid in trees.tree_edges:
+        if eid in tree.tree_edges:
             continue
-        vec = fundamental_cycle(g, trees, eid)
+        vec = fundamental_cycle(g, tree, eid)
         mask = 0
         for i, c in enumerate(vec):
             if c:
                 mask |= 1 << i
         basis.append(mask)
     return basis
-
-
-def _any_spanning_tree(g):
-    dsu = list(range(g.vertex_count + 1))
-
-    def find(x):
-        while dsu[x] != x:
-            dsu[x] = dsu[dsu[x]]
-            x = dsu[x]
-        return x
-
-    chosen = []
-    for eid, a, b in g.edges:
-        if a == b:
-            continue
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            dsu[ra] = rb
-            chosen.append(eid)
-    return SpanningTree(chosen)
 
 
 def gf2_reduce(basis):

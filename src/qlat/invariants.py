@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bipartite import build_bipartite
-from .graphs import (cycle_space_gf2, fundamental_cycle, gf2_in_span,
+from .graphs import (cut_side, cycle_space_gf2, fundamental_cycle, gf2_in_span,
                      gf2_reduce, require_valid, tree_overlap_counts, validate)
 from .lattices import cut_qlattice, decide_iso, flow_qlattice, normalized_det
 from .laurent import LaurentPoly, QTElement
@@ -111,7 +111,7 @@ def cut_basis_change(g, t):
     last = g.vertex_count
     ent = [[0] * r for _ in range(r)]
     for jc, eid in enumerate(tree_cols):
-        side0 = _cut_side0(g, t, eid)
+        side0 = cut_side(g, t, eid)
         last_in_0 = last in side0
         for iv in range(1, g.vertex_count):
             in0 = iv in side0
@@ -120,20 +120,6 @@ def cut_basis_change(g, t):
             elif (not in0) and last_in_0:
                 ent[iv - 1][jc] = -1
     return QMatrix(ent, tuple(range(1, g.vertex_count)), tuple(tree_cols))
-
-
-def _cut_side0(g, t, e):
-    _, tail, _ = g.edge(e)
-    adj = g.adjacency(t.tree_edges - {e})
-    side = {tail}
-    stack = [tail]
-    while stack:
-        v = stack.pop()
-        for _, w in adj[v]:
-            if w not in side:
-                side.add(w)
-                stack.append(w)
-    return side
 
 
 @dataclass(frozen=True)
@@ -479,14 +465,10 @@ def simples_match_inverse(b):
     return True
 
 
-def instance_checks(g, t):
-    """The standard per-instance check battery for one (graph, tree) pair."""
-    b = build_bipartite(g, t, force=True)
-    mt = q_matrix_tree(g, t)
+def bipartite_checks(b):
+    """The checks that need only the signed bipartite graph."""
     glue = verify_glue(b)
     return {
-        "matrix_tree_det_vs_enum": mt.det_matches_enum,
-        "matrix_tree_det_vs_cut": mt.det_matches_cut,
         "glue_orthogonal": glue.orthogonal,
         "glue_dets_equal": glue.dets_equal,
         "glue_k0_unimodular": glue.k0_unimodular,
@@ -494,9 +476,21 @@ def instance_checks(g, t):
         "lattice_routes_agree": lattice_routes_agree(b),
         "flow_cut_duality": flow_cut_duality_ok(b),
         "koszul_identity": koszul_identity_ok(b),
+        "simples_match_inverse": simples_match_inverse(b),
+    }
+
+
+def instance_checks(g, t):
+    """The standard per-instance check battery for one (graph, tree) pair:
+    the bipartite checks plus the graph-only ones."""
+    b = build_bipartite(g, t, force=True)
+    mt = q_matrix_tree(g, t)
+    return {
+        "matrix_tree_det_vs_enum": mt.det_matches_enum,
+        "matrix_tree_det_vs_cut": mt.det_matches_cut,
+        **bipartite_checks(b),
         "sign_duality": sign_duality_ok(g, t),
         "bipartite_matches_graph": bipartite_matches_graph(g, t, b),
-        "simples_match_inverse": simples_match_inverse(b),
         "cut_basis_change": _cut_basis_change_ok(g, t, mt, b),
     }
 

@@ -1,11 +1,11 @@
 """q-lattices: Gram matrices over Z[q,q^-1] and their invariants.
 
 A q-lattice is presented by a nondegenerate Gram matrix with labeled
-basis.  The cut and flow lattices of a signed bipartite graph are built
-from closed forms in the classical integer pairings:
+basis.  The cut and flow lattices of a signed bipartite graph are both
+I + q^2 (C - I), with C the classical integer Gram of the fundamental
+cycles (flow) or cuts (cut) v_i:
 
-    flow:  diag 1 + (|C_i|^2 - 1) q^2,   off-diag <C_i, C_j> q^2
-    cut:   diag 1 + (|K_i|^2 - 1) q^2,   off-diag <K_i, K_j> q^2
+    diag 1 + (|v_i|^2 - 1) q^2,   off-diag <v_i, v_j> q^2
 
 and are cross-checked against the graded-algebra route (the part1 block
 of the Gram matrix, resp. the part0 block of its inverse, at t = -1).
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import k0_gram, k0_gram_inverse
-from .bipartite import b_cut, b_cycle, vec_dot
+from .bipartite import classical_gram
 from .laurent import LaurentPoly
 from .matrices import QMatrix, ring_bar
 
@@ -67,38 +67,23 @@ class QLattice:
         return f"QLattice(rank={self.rank}, labels={list(self.basis_labels)})"
 
 
-def _pairing_to_qsquare(diag_or_off, pairing):
-    one = LaurentPoly.one()
-    qq = LaurentPoly.q_power(2)
-    if diag_or_off == "diag":
-        return one + qq * (pairing - 1)
-    return qq * pairing
+def _fundamental_qlattice(b, side):
+    """I + q^2 (C - I), with C the classical integer Gram of the side."""
+    c = classical_gram(b, side)
+    one, qq = LaurentPoly.one(), LaurentPoly.q_power(2)
+    ent = [[one + qq * (x - 1) if i == j else qq * x for j, x in enumerate(row)]
+           for i, row in enumerate(c.entries)]
+    return QLattice(QMatrix(ent, c.row_labels, c.col_labels))
 
 
 def flow_qlattice(b):
     """q-flow lattice in the fundamental (projective-class) basis."""
-    labels = b.part1
-    vecs = [b_cycle(b, j) for j in labels]
-    n = len(labels)
-    ent = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            kind = "diag" if i == j else "off"
-            ent[i][j] = _pairing_to_qsquare(kind, vec_dot(vecs[i], vecs[j]))
-    return QLattice(QMatrix(ent, labels, labels))
+    return _fundamental_qlattice(b, "flow")
 
 
 def cut_qlattice(b):
     """q-cut lattice in the fundamental (simple-class) basis."""
-    labels = b.part0
-    vecs = [b_cut(b, i) for i in labels]
-    n = len(labels)
-    ent = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            kind = "diag" if i == j else "off"
-            ent[i][j] = _pairing_to_qsquare(kind, vec_dot(vecs[i], vecs[j]))
-    return QLattice(QMatrix(ent, labels, labels))
+    return _fundamental_qlattice(b, "cut")
 
 
 def flow_gram_from_algebra(b):

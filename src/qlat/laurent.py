@@ -647,8 +647,3 @@ def _frac_normalize(num, den):
     if den.coeffs[-1] < 0:
         num, den = -num, -den
     return num, den
-
-
-def frac_reduce(num, den):
-    """Lowest-terms fraction num/den; raises on a zero denominator."""
-    return QFraction(num, den)

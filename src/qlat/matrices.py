@@ -392,15 +392,3 @@ def _half(p):
     if any(c % 2 for c in p.coeffs):
         raise ArithmeticError("t-ring determinant recombination is not integral")
     return LaurentPoly(p.min_deg, tuple(c // 2 for c in p.coeffs))
-
-
-def mat_det(m):
-    return m.det()
-
-
-def mat_star(m):
-    return m.star()
-
-
-def mat_inverse(m, mode="unit"):
-    return m.inverse(mode)

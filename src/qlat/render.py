@@ -27,39 +27,38 @@ def _term_text(coeff, q_exp, t_exp=0):
     return "*".join(parts)
 
 
+def _terms(x):
+    """(q exponent, coefficient, t exponent) triples of a Laurent polynomial
+    or t-ring element, sorted by q then t."""
+    if isinstance(x, QTElement):
+        return sorted([(k, c, 0) for k, c in x.even.terms()]
+                      + [(k, c, 1) for k, c in x.odd.terms()],
+                      key=lambda kct: (kct[0], kct[2]))
+    return [(k, c, 0) for k, c in x.terms()]
+
+
+def _join_terms(terms, term_body):
+    """Signed sum of (q exponent, coefficient, t exponent) terms; "0" if none."""
+    out = []
+    for k, c, te in terms:
+        body = term_body(c, k, te)
+        if not out:
+            out.append(body if c > 0 else "-" + body)
+        else:
+            out.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(out) or "0"
+
+
 def poly_text(p):
     if isinstance(p, int):
         p = LaurentPoly.from_int(p)
-    if isinstance(p, QTElement):
-        return qt_text(p)
     if isinstance(p, QFraction):
         return frac_text(p)
-    if p.is_zero():
-        return "0"
-    out = []
-    for k, c in p.terms():
-        body = _term_text(c, k)
-        if not out:
-            out.append(body if c > 0 else "-" + body)
-        else:
-            out.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(out)
+    return _join_terms(_terms(p), _term_text)
 
 
 def qt_text(x):
-    if x.is_zero():
-        return "0"
-    terms = [(k, c, 0) for k, c in x.even.terms()] + \
-            [(k, c, 1) for k, c in x.odd.terms()]
-    terms.sort(key=lambda kct: (kct[0], kct[2]))
-    out = []
-    for k, c, te in terms:
-        body = _term_text(c, k, te)
-        if not out:
-            out.append(body if c > 0 else "-" + body)
-        else:
-            out.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(out)
+    return _join_terms(_terms(x), _term_text)
 
 
 def frac_text(f):
@@ -117,22 +116,7 @@ def poly_latex(p):
         if p.is_laurent():
             return poly_latex(p.num)
         return r"\frac{%s}{%s}" % (poly_latex(p.num), poly_latex(p.den))
-    if isinstance(p, QTElement):
-        terms = [(k, c, 0) for k, c in p.even.terms()] + \
-                [(k, c, 1) for k, c in p.odd.terms()]
-        terms.sort(key=lambda kct: (kct[0], kct[2]))
-    else:
-        terms = [(k, c, 0) for k, c in p.terms()]
-    if not terms:
-        return "0"
-    out = []
-    for k, c, te in terms:
-        body = _latex_term(c, k, te)
-        if not out:
-            out.append(body if c > 0 else "-" + body)
-        else:
-            out.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(out)
+    return _join_terms(_terms(p), _latex_term)
 
 
 def matrix_latex(m):

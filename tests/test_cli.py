@@ -288,3 +288,69 @@ def test_verify_latex_table(files, capsys):
     assert main(["--format", "latex", "verify", files["triangle"]]) == 0
     out = capsys.readouterr().out
     assert out.startswith("\\begin{tabular}") and "PASS" in out
+
+
+# -- check registry, pool fallback and the byte-identity gate -----------------
+
+BIPARTITE_CHECKS = {"glue_orthogonal", "glue_dets_equal", "glue_k0_unimodular",
+                    "classical_specialization", "lattice_routes_agree",
+                    "flow_cut_duality", "koszul_identity", "simples_match_inverse"}
+FAMILY_CHECKS = BIPARTITE_CHECKS | {"matrix_tree_det_vs_enum", "matrix_tree_det_vs_cut",
+                                    "sign_duality", "bipartite_matches_graph",
+                                    "cut_basis_change"}
+SAMPLED_CHECKS = {"d_involution", "rigidity_sampling", "iso_round_trip"}
+
+
+def _verify_check_names(path, capsys):
+    assert main(["--format", "json", "verify", path]) == 0
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert len(names) == len(set(names))
+    return {n.split(".", 1)[1] for n in names}
+
+
+def test_verify_check_names_are_pinned(files, capsys, tmp_path):
+    from qlat.bipartite import build_bipartite
+    from qlat.graphs import OrientedMultigraph, SpanningTree
+    from qlat.invariants import bipartite_checks, instance_checks
+
+    graph_names = _verify_check_names(files["triangle"], capsys)
+    assert graph_names == FAMILY_CHECKS | SAMPLED_CHECKS | {"validation"}
+    assert len(graph_names) == 17
+    assert main(["build-bipartite", files["triangle"]]) == 0
+    bp = tmp_path / "t.bipartite"
+    bp.write_text(capsys.readouterr().out)
+    bip_names = _verify_check_names(str(bp), capsys)
+    assert bip_names == BIPARTITE_CHECKS | SAMPLED_CHECKS and len(bip_names) == 11
+    g = OrientedMultigraph(2, [(1, 1, 2), (2, 1, 2)])
+    t = SpanningTree({1})
+    assert set(instance_checks(g, t)) == FAMILY_CHECKS and len(FAMILY_CHECKS) == 13
+    assert set(bipartite_checks(build_bipartite(g, t))) == BIPARTITE_CHECKS
+
+
+def test_family_pool_failure_warns_and_runs_serially(monkeypatch, capsys):
+    import concurrent.futures
+
+    assert main(["verify", "--family", "3"]) == 0
+    serial = capsys.readouterr()
+
+    class BrokenPool:
+        def __init__(self, *args, **kwargs):
+            raise RuntimeError("no worker processes")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
+    assert main(["--jobs", "2", "verify", "--family", "3"]) == 0
+    fallback = capsys.readouterr()
+    assert fallback.out == serial.out
+    lines = fallback.err.splitlines()
+    assert len(lines) == 1
+    assert "RuntimeError" in lines[0] and "no worker processes" in lines[0]
+
+
+def test_verify_family_5_stdout_is_byte_identical(capsys):
+    """The byte-identity gate for refactors: the pinned sha256 prefix of the
+    family-5 report changes only when a check is added or renamed."""
+    import hashlib
+
+    assert main(["verify", "--family", "5"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest.startswith("ec86ca17ab399de7")

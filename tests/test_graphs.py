@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from qlat.families import connected_bridgeless_multigraphs, graph_tree_instances
-from qlat.graphs import (OrientedMultigraph, SpanningTree, cycle_space_gf2, dot,
-                         enumerate_spanning_trees, fundamental_cut,
-                         fundamental_cycle, tree_overlap_counts, validate)
+from qlat.graphs import (OrientedMultigraph, SpanningTree, Violation, bridges,
+                         cycle_space_gf2, dot, enumerate_spanning_trees,
+                         fundamental_cut, fundamental_cycle, is_connected,
+                         tree_overlap_counts, validate)
 
 
 def triangle():
@@ -139,7 +142,6 @@ def test_cycle_supported_on_tree_plus_f():
 
 def test_family_is_bridgeless_connected_and_deduplicated():
     fam = connected_bridgeless_multigraphs(4)
-    from qlat.graphs import bridges, is_connected
     for g in fam:
         assert is_connected(g) and not bridges(g)
     # digon, triangle, theta present
@@ -152,3 +154,86 @@ def test_graph_constructor_rejects_bad_ids():
         OrientedMultigraph(2, [(1, 1, 2), (3, 2, 1)])
     with pytest.raises(ValueError):
         OrientedMultigraph(2, [(1, 1, 5)])
+
+
+# -- brute-force oracle for bridges and validate ------------------------------
+
+
+def _connected_oracle(n, pairs):
+    """Grow vertex 1's component edge by edge until nothing changes."""
+    comp = {1}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in pairs:
+            if (a in comp) != (b in comp):
+                comp |= {a, b}
+                changed = True
+    return len(comp) == n
+
+
+def _bridges_oracle(g):
+    """Delete each non-loop edge in turn and test connectivity."""
+    pairs = [(a, b) for _, a, b in g.edges]
+    return [e for e, a, b in g.edges
+            if a != b and not _connected_oracle(g.vertex_count, pairs[:e - 1] + pairs[e:])]
+
+
+def _validate_oracle(g, t):
+    n, m = g.vertex_count, g.edge_count
+    out = []
+    if not _connected_oracle(n, [(a, b) for _, a, b in g.edges]):
+        out.append(Violation("disconnected", "graph is not connected"))
+    out += [Violation("bridge", f"edge {e} is a bridge") for e in _bridges_oracle(g)]
+    ids = sorted(t.tree_edges)
+    if any(not 1 <= e <= m for e in ids):
+        bad = [e for e in ids if not 1 <= e <= m]
+        out.append(Violation("tree_edge_range", f"tree edges {bad} are not edge ids"))
+        return tuple(out)
+    loops = [e for e in ids if g.edge(e)[1] == g.edge(e)[2]]
+    if loops:
+        out.append(Violation("tree_loop", f"tree contains loop edges {loops}"))
+    if len(ids) != n - 1:
+        out.append(Violation("tree_size", f"tree has {len(ids)} edges, expected {n - 1}"))
+    elif not loops and not _connected_oracle(n, [g.edge(e)[1:] for e in ids]):
+        # n - 1 edges that connect all n vertices form a spanning tree
+        out.append(Violation("tree_not_spanning", "tree edges do not form a spanning tree"))
+    return tuple(out)
+
+
+def _random_multigraph_and_tree(rng):
+    n = rng.randint(1, 6)
+    m = rng.randint(0, 9)
+    g = OrientedMultigraph(n, [(e, rng.randint(1, n), rng.randint(1, n))
+                               for e in range(1, m + 1)])
+    size = n - 1 if rng.random() < 0.7 else rng.randint(0, n)
+    tree = rng.sample(range(1, m + 2), min(size, m + 1))
+    return g, SpanningTree(tree)
+
+
+def test_bridges_and_validate_match_brute_force_on_random_multigraphs():
+    rng = random.Random(2026)
+    seen = set()
+    for _ in range(3000):
+        g, t = _random_multigraph_and_tree(rng)
+        assert bridges(g) == _bridges_oracle(g), g
+        report = validate(g, t)
+        assert report.violations == _validate_oracle(g, t), (g, t)
+        seen |= report.codes()
+        pairs = [tuple(sorted((a, b))) for _, a, b in g.edges]
+        if any(a == b for a, b in pairs):
+            seen.add("has_loop")
+        if len(set(pairs)) < len(pairs):
+            seen.add("has_parallel")
+        if is_connected(g) and not bridges(g) and g.edge_count:
+            seen.add("bridgeless")
+    # the sample exercises every branch of both routines
+    assert seen == {"disconnected", "bridge", "tree_edge_range", "tree_loop",
+                    "tree_size", "tree_not_spanning", "has_loop", "has_parallel",
+                    "bridgeless"}
+
+
+def test_bridges_on_disconnected_graph_is_every_non_loop_edge():
+    g = OrientedMultigraph(4, [(1, 1, 2), (2, 1, 2), (3, 3, 3), (4, 3, 4), (5, 4, 3)])
+    assert not is_connected(g)
+    assert bridges(g) == [1, 2, 4, 5]

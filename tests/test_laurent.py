@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qlat.laurent import LaurentPoly, QFraction, QTElement, frac_reduce, poly_gcd
+from qlat.laurent import LaurentPoly, QFraction, QTElement, poly_gcd
 
 
 def L(*terms):
@@ -65,17 +65,17 @@ def test_qt_multiplication_cross_term():
 
 
 def test_frac_reduce_examples():
-    f = frac_reduce(L((0, -1), (2, 1)), L((0, -1), (1, 1)))
+    f = QFraction(L((0, -1), (2, 1)), L((0, -1), (1, 1)))
     assert f.num == one + q and f.den == one
-    f = frac_reduce(LaurentPoly.q_power(1, 2), LaurentPoly.from_int(4))
+    f = QFraction(LaurentPoly.q_power(1, 2), LaurentPoly.from_int(4))
     assert f.num == q and f.den == LaurentPoly.from_int(2)
-    f = frac_reduce(LaurentPoly.zero(), L((0, 1), (1, 7)))
+    f = QFraction(LaurentPoly.zero(), L((0, 1), (1, 7)))
     assert f.is_zero() and f.den == one
 
 
 def test_frac_zero_division():
     with pytest.raises(ZeroDivisionError):
-        frac_reduce(one, LaurentPoly.zero())
+        QFraction(one, LaurentPoly.zero())
     with pytest.raises(ZeroDivisionError):
         QFraction(one) / QFraction(LaurentPoly.zero())
 

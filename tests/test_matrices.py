@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qlat.laurent import LaurentPoly, QFraction, QTElement
-from qlat.matrices import QMatrix, _det_bareiss_laurent, _det_cofactor, mat_det, mat_inverse, mat_star
+from qlat.matrices import QMatrix, _det_bareiss_laurent, _det_cofactor
 
 
 def L(*terms):
@@ -22,10 +22,10 @@ def worked_gram():
 
 
 def test_det_examples():
-    assert mat_det(worked_gram()) == one
+    assert worked_gram().det() == one
     m = QMatrix([[L((0, 1), (2, 1)), -one], [-one, LaurentPoly.from_int(2)]])
-    assert mat_det(m) == L((0, 1), (2, 2))
-    assert mat_det(QMatrix.identity(5, one)) == one
+    assert m.det() == L((0, 1), (2, 2))
+    assert QMatrix.identity(5, one).det() == one
 
 
 def test_det_non_square():
@@ -35,10 +35,10 @@ def test_det_non_square():
 
 def test_star_examples():
     m = QMatrix([[q, zero], [one, LaurentPoly.q_power(-1)]])
-    assert mat_star(m) == QMatrix([[LaurentPoly.q_power(-1), one], [zero, q]])
-    assert mat_star(QMatrix.identity(3, one)) == QMatrix.identity(3, one)
+    assert m.star() == QMatrix([[LaurentPoly.q_power(-1), one], [zero, q]])
+    assert QMatrix.identity(3, one).star() == QMatrix.identity(3, one)
     sym = QMatrix([[LaurentPoly.from_int(2), one], [one, LaurentPoly.from_int(3)]])
-    assert mat_star(sym) == sym
+    assert sym.star() == sym
 
 
 def test_star_is_antihomomorphism():
@@ -55,7 +55,7 @@ def test_star_is_antihomomorphism():
 
 
 def test_inverse_worked_example():
-    ginv = mat_inverse(worked_gram(), "unit")
+    ginv = worked_gram().inverse("unit")
     expect = QMatrix([
         [L((0, 1), (2, 1)), L((2, 1)), LaurentPoly.q_power(1, -1)],
         [L((2, 1)), L((0, 1), (2, 1)), LaurentPoly.q_power(1, -1)],
@@ -66,23 +66,23 @@ def test_inverse_worked_example():
 
 def test_inverse_diag_units():
     d = QMatrix([[q, zero], [zero, LaurentPoly.q_power(-1)]])
-    assert mat_inverse(d, "unit") == QMatrix([[LaurentPoly.q_power(-1), zero], [zero, q]])
+    assert d.inverse("unit") == QMatrix([[LaurentPoly.q_power(-1), zero], [zero, q]])
 
 
 def test_inverse_fraction_mode():
     r = QMatrix([[L((0, 1), (2, 2))]])
-    inv = mat_inverse(r, "fraction")
+    inv = r.inverse("fraction")
     assert inv[0, 0] == QFraction(one, L((0, 1), (2, 2)))
     with pytest.raises(ValueError, match="fraction"):
-        mat_inverse(r, "unit")
+        r.inverse("unit")
 
 
 def test_inverse_singular():
     s = QMatrix([[one, one], [one, one]])
     with pytest.raises(ValueError):
-        mat_inverse(s, "unit")
+        s.inverse("unit")
     with pytest.raises(ValueError):
-        mat_inverse(s, "fraction")
+        s.inverse("fraction")
 
 
 def test_bareiss_matches_cofactor():
