@@ -19,8 +19,8 @@ from .algebra import (K0Vector, PathBasisElement, d_matrix,
                       koszul_transport, path_basis, resolve_simple,
                       simple_in_projectives)
 from .lattices import (QLattice, SignedPermutation, change_basis, cut_qlattice,
-                       decide_iso, dual_basis, flow_qlattice, is_unimodular,
-                       lattice_canonical_form, norm_shape, normalized_det)
+                       decide_iso, flow_qlattice, lattice_canonical_form,
+                       norm_shape, normalized_det)
 from .invariants import (MatrixTreeReport, Q2IsoReport, cut_basis_change,
                          find_flow_cut_split_pair, matrix_tree_enum_oracle,
                          q_matrix_tree, two_iso_search, verify_glue,

@@ -10,12 +10,16 @@ first-class inputs everywhere downstream.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .graphs import fundamental_cycle, require_valid
 from .matrices import QMatrix
 
 
 class SignedBipartiteGraph:
-    __slots__ = ("part0", "part1", "signs")
+    """Immutable: signs is a read-only view and the hash is computed once."""
+
+    __slots__ = ("part0", "part1", "signs", "_hash")
 
     def __init__(self, part0, part1, signs):
         part0 = tuple(sorted(int(v) for v in part0))
@@ -36,7 +40,8 @@ class SignedBipartiteGraph:
             clean[(i, j)] = s
         object.__setattr__(self, "part0", part0)
         object.__setattr__(self, "part1", part1)
-        object.__setattr__(self, "signs", clean)
+        object.__setattr__(self, "signs", MappingProxyType(clean))
+        object.__setattr__(self, "_hash", hash((part0, part1, frozenset(clean.items()))))
 
     def __setattr__(self, name, value):
         raise AttributeError("SignedBipartiteGraph is immutable")
@@ -62,7 +67,7 @@ class SignedBipartiteGraph:
             other.part0, other.part1, other.signs)
 
     def __hash__(self):
-        return hash((self.part0, self.part1, frozenset(self.signs.items())))
+        return self._hash
 
     def __repr__(self):
         return (f"SignedBipartiteGraph(part0={list(self.part0)}, "

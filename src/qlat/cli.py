@@ -81,7 +81,7 @@ def _print(s):
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _print_bipartite(b, name, fmt, text_suffix=""):
+def _print_bipartite(b, name, fmt):
     if fmt == "json":
         _print(json.dumps({
             "name": name,
@@ -90,7 +90,7 @@ def _print_bipartite(b, name, fmt, text_suffix=""):
             "sedges": [[i, j, s] for (i, j), s in sorted(b.signs.items())],
         }, sort_keys=True))
     else:
-        sys.stdout.write(emit_bipartite(b, name + text_suffix))
+        sys.stdout.write(emit_bipartite(b, name))
 
 
 def cmd_build_bipartite(args):
@@ -101,7 +101,7 @@ def cmd_build_bipartite(args):
 
 def cmd_dual(args):
     b, _, _, name = _load_any(args.file)
-    _print_bipartite(dual(b), name, args.format, text_suffix="-dual")
+    _print_bipartite(dual(b), name + "-dual", args.format)
     return 0
 
 
@@ -303,8 +303,7 @@ def _iso_round_trip(b, seed, rounds=25):
             perm = list(range(n))
             rng.shuffle(perm)
             signs = [rng.choice((1, -1)) for _ in range(n)]
-            p = SignedPermutation(tuple(perm), tuple(signs)).matrix(LaurentPoly.one())
-            scrambled = change_basis(lat, p)
+            scrambled = change_basis(lat, SignedPermutation(tuple(perm), tuple(signs)))
             w = decide_iso(lat, scrambled)
             if w is None:
                 return False

@@ -295,10 +295,6 @@ def fundamental_cut(g, t, e):
     return tuple(vec)
 
 
-def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
 def enumerate_spanning_trees(g):
     """All spanning trees, by recursive include/exclude over the edge list.
 

@@ -222,23 +222,23 @@ def two_iso_search(g1, t1, g2, t2):
                     return False
         return True
 
-    def rec(e):
-        if e > m:
-            return True
+    # Iterative depth-first search over e = 1..m; a dead end at e resumes
+    # e - 1 at the candidate after its current image.
+    e, start = 1, 1
+    while 0 < e <= m:
         source_tree = e in in_t1
-        for cand in range(1, m + 1):
-            if used[cand] or (cand in in_t2) != source_tree:
-                continue
-            if consistent(e, cand):
+        for cand in range(start, m + 1):
+            if not used[cand] and (cand in in_t2) == source_tree and consistent(e, cand):
                 image[e] = cand
                 used[cand] = True
-                if rec(e + 1):
-                    return True
-                used[cand] = False
-        image[e] = None
-        return False
-
-    if not rec(1):
+                e, start = e + 1, 1
+                break
+        else:
+            e -= 1
+            if e:
+                used[image[e]] = False
+                start = image[e] + 1
+    if e == 0:
         return None
     mapping = tuple(image[1:])
     if not _maps_cycle_space(g1, g2, mapping):

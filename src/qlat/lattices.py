@@ -1,9 +1,11 @@
-"""q-lattices: Gram matrices over Z[q,q^-1] and their invariants.
+"""q-lattices: Gram matrices I + q^k S over Z[q,q^-1] and their invariants.
 
-A q-lattice is presented by a nondegenerate Gram matrix with labeled
-basis.  The cut and flow lattices of a signed bipartite graph are both
-I + q^2 (C - I), with C the classical integer Gram of the fundamental
-cycles (flow) or cuts (cut) v_i:
+A q-lattice is stored as its integer data: an exponent k != 0 and an
+integer symmetric S, with labeled basis; the Laurent Gram is derived.
+Such a Gram is never degenerate, because det(I + y S) is a polynomial in
+y with constant term 1.  The cut and flow lattices of a signed bipartite
+graph have k = 2 and S = C - I, with C the classical integer Gram of the
+fundamental cycles (flow) or cuts (cut) v_i:
 
     diag 1 + (|v_i|^2 - 1) q^2,   off-diag <v_i, v_j> q^2
 
@@ -11,8 +13,8 @@ and are cross-checked against the graded-algebra route (the part1 block
 of the Gram matrix, resp. the part0 block of its inverse, at t = -1).
 Bases of this shape are rigid: any vector of norm 1 + c q^k is a unit
 multiple of a basis vector, so lattice isomorphism reduces to a
-signed-permutation search over the integer coefficient matrices (unit
-factors cancel within each connected block of the coefficient matrix).
+signed-permutation search over the integer matrices S (unit factors
+cancel within each connected block of S).
 """
 
 from __future__ import annotations
@@ -22,25 +24,35 @@ from dataclasses import dataclass
 from .algebra import k0_gram, k0_gram_inverse
 from .bipartite import classical_gram
 from .laurent import LaurentPoly
-from .matrices import QMatrix, ring_bar
+from .matrices import QMatrix, ring_bar, ring_one, ring_zero
 
 
 class QLattice:
-    __slots__ = ("gram", "basis_labels")
+    """The lattice with Gram I + q^k S on the labeled basis.
 
-    def __init__(self, gram, basis_labels=None):
-        if not gram.is_square():
-            raise ValueError("Gram matrix must be square")
-        if basis_labels is None:
-            basis_labels = gram.row_labels
+    S is a square symmetric integer matrix (a tuple of int tuples); k is
+    None when S = 0 and nonzero otherwise, so det(I + q^k S) = 1 + O(q^k)
+    (in q^-1 when k < 0) is never zero.
+    """
+
+    __slots__ = ("k", "s", "basis_labels", "_gram")
+
+    def __init__(self, k, s, basis_labels):
+        s = tuple(tuple(row) for row in s)
+        n = len(s)
+        if any(len(row) != n or not all(isinstance(x, int) for x in row) for row in s):
+            raise ValueError("S must be a square integer matrix")
+        if any(s[i][j] != s[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("S is not symmetric")
+        if not any(any(row) for row in s):
+            k = None
+        elif not k:
+            raise ValueError("exponent k must be nonzero when S != 0")
         basis_labels = tuple(basis_labels)
-        if len(basis_labels) != gram.rows:
-            raise ValueError("label count mismatch")
-        if gram.rows and gram.det().is_zero():
-            raise ValueError("degenerate Gram matrix")
-        if gram.rows and gram.eval_q(1).entries != gram.eval_q(1).transpose().entries:
-            raise ValueError("Gram matrix is not symmetric at q = 1")
-        object.__setattr__(self, "gram", gram.with_labels(basis_labels, basis_labels))
+        if len(basis_labels) != n or len(set(basis_labels)) != n:
+            raise ValueError("need one distinct label per basis vector")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "s", s)
         object.__setattr__(self, "basis_labels", basis_labels)
 
     def __setattr__(self, name, value):
@@ -48,7 +60,17 @@ class QLattice:
 
     @property
     def rank(self):
-        return self.gram.rows
+        return len(self.s)
+
+    @property
+    def gram(self):
+        """I + q^k S over Z[q,q^-1], built on first use."""
+        if not hasattr(self, "_gram"):
+            k = self.k or 0  # k is None only when S = 0
+            ent = [[LaurentPoly.q_power(k, x) + 1 if i == j else LaurentPoly.q_power(k, x)
+                    for j, x in enumerate(row)] for i, row in enumerate(self.s)]
+            object.__setattr__(self, "_gram", QMatrix(ent, self.basis_labels, self.basis_labels))
+        return self._gram
 
     def pairing(self, x, y):
         """<x, y> for coordinate vectors over Z[q,q^-1] (left anti-linear)."""
@@ -61,7 +83,7 @@ class QLattice:
     def __eq__(self, other):
         if not isinstance(other, QLattice):
             return NotImplemented
-        return self.gram == other.gram
+        return (self.k, self.s) == (other.k, other.s)
 
     def __repr__(self):
         return f"QLattice(rank={self.rank}, labels={list(self.basis_labels)})"
@@ -70,10 +92,9 @@ class QLattice:
 def _fundamental_qlattice(b, side):
     """I + q^2 (C - I), with C the classical integer Gram of the side."""
     c = classical_gram(b, side)
-    one, qq = LaurentPoly.one(), LaurentPoly.q_power(2)
-    ent = [[one + qq * (x - 1) if i == j else qq * x for j, x in enumerate(row)]
-           for i, row in enumerate(c.entries)]
-    return QLattice(QMatrix(ent, c.row_labels, c.col_labels))
+    s = [[x - 1 if i == j else x for j, x in enumerate(row)]
+         for i, row in enumerate(c.entries)]
+    return QLattice(2, s, c.row_labels)
 
 
 def flow_qlattice(b):
@@ -105,49 +126,12 @@ def cut_gram_from_algebra(b):
     return ginv.submatrix(idx, idx)
 
 
-def change_basis(lat, t_mat):
-    """Re-present the lattice by an invertible matrix: Gram becomes T* A T."""
-    if not t_mat.is_square() or t_mat.rows != lat.rank:
-        raise ValueError("change of basis must be square of matching rank")
-    d = t_mat.det()
-    if _laurent_unit(d) is None:
-        raise ValueError("change of basis is not invertible over Z[q,q^-1]")
-    new = t_mat.star() * lat.gram * t_mat
-    return QLattice(new.with_labels(lat.basis_labels, lat.basis_labels))
-
-
-def _laurent_unit(d):
-    if isinstance(d, int):
-        return (d, 0) if d in (1, -1) else None
-    return d.unit_value()
-
-
 def normalized_det(lat):
     """Canonical representative of det(Gram) modulo the units +-q^k."""
     if lat.rank == 0:
         return LaurentPoly.one()
     _, n = lat.gram.det().normalize_unit()
     return n
-
-
-def is_unimodular(lat):
-    if lat.rank == 0:
-        return True
-    return lat.gram.det().unit_value() is not None
-
-
-def dual_basis(lat, side):
-    """Columns are the dual basis vectors in original coordinates.
-
-    right: <b_i, b_j^dual> = delta; these are the columns of gram^-1.
-    left:  <b_i^dual, b_j> = delta; the columns of (gram*)^-1, which for
-    the symmetric Gram matrices in play equals bar(gram)^-1.
-    """
-    if side == "right":
-        return lat.gram.inverse("fraction")
-    if side == "left":
-        return lat.gram.star().inverse("fraction")
-    raise ValueError("side must be 'left' or 'right'")
 
 
 def norm_shape(lat, coords, k=2):
@@ -171,7 +155,6 @@ class SignedPermutation:
 
     def matrix(self, sample=1):
         n = len(self.perm)
-        from .matrices import ring_one, ring_zero
         one, zero = ring_one(sample), ring_zero(sample)
         ent = [[zero] * n for _ in range(n)]
         for i, (p, s) in enumerate(zip(self.perm, self.signs)):
@@ -182,48 +165,31 @@ class SignedPermutation:
         return len(self.perm)
 
 
-def rigidity_data(lat, k=None):
-    """Extract (k, C) with Gram = I + q^k C for an integer symmetric C.
+def change_basis(lat, sp):
+    """Re-present the lattice in the basis moved by the signed permutation.
 
-    Raises when any entry falls outside the rigid shape, naming it.
+    The Gram becomes P* A P for P = sp.matrix(), that is
+    S'_ij = s_i s_j S_{perm i, perm j}, with the same exponent and labels.
     """
     n = lat.rank
-    c = [[0] * n for _ in range(n)]
-    one = LaurentPoly.one()
-    for i in range(n):
-        for j in range(n):
-            e = lat.gram[i, j]
-            base = e - one if i == j else e
-            if base.is_zero():
-                continue
-            terms = list(base.terms())
-            if len(terms) != 1:
-                raise ValueError(f"Gram entry ({i}, {j}) violates the rigid shape")
-            deg, coeff = terms[0]
-            if k is None:
-                k = deg
-            elif deg != k:
-                raise ValueError(
-                    f"Gram entry ({i}, {j}) has exponent {deg}, expected {k}")
-            c[i][j] = coeff
-    for i in range(n):
-        for j in range(n):
-            if c[i][j] != c[j][i]:
-                raise ValueError(f"Gram entry ({i}, {j}) breaks symmetry")
-    return k, c
+    if sorted(sp.perm) != list(range(n)) or [abs(x) for x in sp.signs] != [1] * n:
+        raise ValueError("change of basis must be a signed permutation of matching rank")
+    p, sg, s = sp.perm, sp.signs, lat.s
+    return QLattice(lat.k, [[sg[i] * sg[j] * s[p[i]][p[j]] for j in range(n)]
+                            for i in range(n)], lat.basis_labels)
 
 
 def lattice_canonical_form(lat):
     """Canonical representative of the rigid coefficient matrix.
 
-    Minimizes the integer matrix C (Gram = I + q^k C) over simultaneous
+    Minimizes the integer matrix S (Gram = I + q^k S) over simultaneous
     signed permutations; two rigid-shape lattices are isomorphic exactly
     when their canonical forms (and exponents) agree.  Exponential in the
     rank, fine at desk scale.
     """
     from itertools import permutations, product
 
-    k, c = rigidity_data(lat)
+    k, c = lat.k, lat.s
     n = lat.rank
     best = None
     for perm in permutations(range(n)):
@@ -245,8 +211,8 @@ def decide_iso(lat1, lat2):
     """
     if lat1.rank != lat2.rank:
         return None
-    k1, c1 = rigidity_data(lat1)
-    k2, c2 = rigidity_data(lat2)
+    k1, c1 = lat1.k, lat1.s
+    k2, c2 = lat2.k, lat2.s
     if k1 is not None and k2 is not None and k1 != k2:
         return None
     n = lat1.rank

@@ -451,10 +451,6 @@ class QTElement:
         """q -> q^-1; t is fixed."""
         return QTElement(self.even.bar(), self.odd.bar())
 
-    def t_shift(self):
-        """Multiply by t."""
-        return QTElement(self.odd, self.even)
-
     def unit_value(self):
         """Return (sign, q_exp, t_exp) when self = sign * q^k * t^e, else None."""
         if self.odd.is_zero():

@@ -176,9 +176,6 @@ class QMatrix:
         return QMatrix(ent, tuple(self.row_labels[i] for i in row_idx),
                        tuple(self.col_labels[j] for j in col_idx))
 
-    def with_labels(self, row_labels, col_labels):
-        return QMatrix(self.entries, row_labels, col_labels)
-
     # -- determinant ------------------------------------------------------
 
     def det(self):

@@ -205,7 +205,7 @@ def test_criterion_7_rigidity_and_q2iso():
             rng.shuffle(perm)
             sp = SignedPermutation(tuple(perm),
                                    tuple(rng.choice((1, -1)) for _ in range(n)))
-            scrambled = change_basis(lat, sp.matrix(one))
+            scrambled = change_basis(lat, sp)
             w = decide_iso(lat, scrambled)
             if w is None:
                 ok = False

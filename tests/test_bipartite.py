@@ -170,3 +170,14 @@ def test_constructor_validation():
     # zero entries are dropped, not stored
     b = SignedBipartiteGraph([1], [2], {(1, 2): 0})
     assert b.sign(1, 2) == 0 and not b.signs
+
+
+def test_signs_are_read_only():
+    b = SignedBipartiteGraph([1, 2], [3], {(1, 3): 1, (2, 3): -1})
+    h = hash(b)
+    with pytest.raises(TypeError):
+        b.signs[(1, 3)] = -1
+    with pytest.raises(AttributeError):
+        b.signs = {}
+    assert b.sign(1, 3) == 1 and hash(b) == h
+    assert b == SignedBipartiteGraph([1, 2], [3], {(2, 3): -1, (1, 3): 1})

@@ -118,6 +118,19 @@ def test_two_iso_command(files, capsys):
     assert capsys.readouterr().out == "none\n"
 
 
+def test_two_iso_long_cycle_does_not_recurse(capsys, tmp_path):
+    # one search step per edge: 1,100 edges is past the default recursion limit
+    m = 1100
+    lines = ["graph cycle", f"vertices {m}"]
+    lines += [f"edge {e} {e} {e + 1} tree" for e in range(1, m)]
+    lines.append(f"edge {m} 1 {m}")
+    path = tmp_path / "cycle.graph"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["two-iso", str(path), str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == "".join(f"{e} -> {e}\n" for e in range(1, m + 1))
+
+
 def test_build_bipartite_and_dual_round_trip(files, capsys, tmp_path):
     assert main(["build-bipartite", files["triangle"]]) == 0
     out = capsys.readouterr().out
@@ -273,6 +286,7 @@ def test_json_structured_commands(files, capsys):
     assert main(["--format", "json", "dual", files["triangle"]]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["part0"] == [3] and obj["sedges"] == [[3, 1, 1], [3, 2, 1]]
+    assert obj["name"] == "triangle-dual"
     assert main(["--format", "json", "algebra", "--resolutions",
                  files["triangle"]]) == 0
     obj = json.loads(capsys.readouterr().out)

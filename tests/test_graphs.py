@@ -4,7 +4,7 @@ import pytest
 
 from qlat.families import connected_bridgeless_multigraphs, graph_tree_instances
 from qlat.graphs import (OrientedMultigraph, SpanningTree, Violation, bridges,
-                         cycle_space_gf2, dot, enumerate_spanning_trees,
+                         cycle_space_gf2, enumerate_spanning_trees,
                          fundamental_cut, fundamental_cycle, is_connected,
                          tree_overlap_counts, validate)
 
@@ -122,7 +122,7 @@ def test_sign_duality_and_orthogonality_exhaustive():
             for j in cotree:
                 cyc = fundamental_cycle(g, t, j)
                 assert cyc[i - 1] == -cut[j - 1]
-                assert dot(cut, cyc) == 0
+                assert sum(a * b for a, b in zip(cut, cyc)) == 0
 
 
 def test_cycle_supported_on_tree_plus_f():

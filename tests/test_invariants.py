@@ -304,7 +304,7 @@ def test_decide_iso_scales_to_rank_eight():
     rng.shuffle(perm)
     from qlat.lattices import SignedPermutation, change_basis
     sp = SignedPermutation(tuple(perm), tuple(rng.choice((1, -1)) for _ in range(8)))
-    scrambled = change_basis(lat, sp.matrix(LaurentPoly.one()))
+    scrambled = change_basis(lat, sp)
     w = decide_iso(lat, scrambled)
     assert w is not None
     pm = w.matrix(LaurentPoly.one())

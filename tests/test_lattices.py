@@ -1,16 +1,19 @@
+import hashlib
 import random
 
 import pytest
 
-from qlat.bipartite import SignedBipartiteGraph, build_bipartite, dual
-from qlat.families import graph_tree_instances, random_signed_bipartite
+from qlat.bipartite import build_bipartite, classical_gram, dual
+from qlat.cli import main
+from qlat.families import (graph_tree_instances, random_signed_bipartite,
+                           random_signed_bipartites)
+from qlat.fileio import emit_bipartite, emit_graph
 from qlat.graphs import OrientedMultigraph, SpanningTree
 from qlat.lattices import (QLattice, SignedPermutation, change_basis,
                            cut_gram_from_algebra, cut_qlattice, decide_iso,
-                           dual_basis, flow_gram_from_algebra, flow_qlattice,
-                           is_unimodular, lattice_canonical_form, norm_shape,
-                           normalized_det, rigidity_data)
-from qlat.laurent import LaurentPoly, QFraction
+                           flow_gram_from_algebra, flow_qlattice,
+                           lattice_canonical_form, norm_shape, normalized_det)
+from qlat.laurent import LaurentPoly
 from qlat.matrices import QMatrix
 
 
@@ -69,33 +72,41 @@ def test_flow_equals_cut_of_dual():
 def test_normalized_det_examples():
     assert normalized_det(flow_qlattice(triangle_b())) == one_2q2
     assert normalized_det(cut_qlattice(triangle_b())) == one_2q2
-    ident = QLattice(QMatrix.identity(3, one))
+    ident = QLattice(2, [[0] * 3] * 3, (1, 2, 3))
+    assert ident.gram == QMatrix.identity(3, one) and ident.k is None
     assert normalized_det(ident) == one
-    empty = QLattice(QMatrix([]))
-    assert normalized_det(empty) == one and is_unimodular(empty)
-
-
-def test_unimodularity():
-    assert not is_unimodular(flow_qlattice(triangle_b()))
-    assert is_unimodular(QLattice(QMatrix.identity(2, one)))
-    skew = QLattice(QMatrix([[one, q2], [q2, L((0, 1), (4, 1))]]))
-    # det = 1 + q^4 - q^4 = 1
-    assert is_unimodular(skew)
+    empty = QLattice(2, [], ())
+    assert normalized_det(empty) == one and empty.gram.entries == ()
 
 
 def test_change_basis_examples():
     ft = flow_qlattice(theta_b())
-    ident = QMatrix.identity(2, one)
-    assert change_basis(ft, ident).gram.entries == ft.gram.entries
+    assert change_basis(ft, SignedPermutation((0, 1), (1, 1))) == ft
     with pytest.raises(ValueError):
-        change_basis(ft, QMatrix([[one, one], [one, one]]))
+        change_basis(ft, SignedPermutation((0, 0), (1, 1)))
+    with pytest.raises(ValueError):
+        change_basis(ft, SignedPermutation((0,), (1,)))
+    with pytest.raises(ValueError):
+        change_basis(ft, SignedPermutation((1, 0), (1, 2)))
+    # the integer route agrees with the general P* A P over Z[q,q^-1]
+    rng = random.Random(83)
+    for b in [triangle_b(), theta_b()] + random_signed_bipartites(83, 40, 4, 4):
+        for lat in (flow_qlattice(b), cut_qlattice(b)):
+            sp = random_signed_perm(rng, lat.rank)
+            moved = change_basis(lat, sp)
+            pm = sp.matrix(one)
+            assert moved.gram == pm.star() * lat.gram * pm
+            assert moved.k == lat.k and moved.basis_labels == lat.basis_labels
 
 
 def test_change_basis_preserves_normalized_det_randomized():
+    # at the matrix level: det(T* G T) = det(G) up to units for any T
+    # that is invertible over Z[q,q^-1] (signed permutation times unitriangular)
     rng = random.Random(67)
-    lattices = [flow_qlattice(theta_b()), cut_qlattice(triangle_b())]
-    for lat in lattices:
-        n = lat.rank
+    grams = [flow_qlattice(theta_b()).gram, cut_qlattice(triangle_b()).gram]
+    for g in grams:
+        n = g.rows
+        _, base = g.det().normalize_unit()
         for _ in range(500):
             sp = random_signed_perm(rng, n).matrix(one)
             upper = QMatrix([[one if i == j else
@@ -104,40 +115,7 @@ def test_change_basis_preserves_normalized_det_randomized():
                                if i < j else LaurentPoly.zero())
                               for j in range(n)] for i in range(n)])
             t = sp * upper
-            assert normalized_det(change_basis(lat, t)) == normalized_det(lat)
-
-
-def test_dual_basis_examples():
-    fl = flow_qlattice(triangle_b())
-    right = dual_basis(fl, "right")
-    assert right[0, 0] == QFraction(one, one_2q2)
-    ident = QLattice(QMatrix.identity(2, one))
-    assert dual_basis(ident, "right") == QMatrix.identity(2, QFraction.one())
-    # unimodular lattice: dual basis has Laurent coordinates
-    skew = QLattice(QMatrix([[one, q2], [q2, L((0, 1), (4, 1))]]))
-    for row in dual_basis(skew, "right").entries:
-        for x in row:
-            assert x.is_laurent()
-
-
-def test_dual_basis_pairing_delta():
-    for lat in (cut_qlattice(triangle_b()), flow_qlattice(theta_b())):
-        n = lat.rank
-        for side in ("left", "right"):
-            cols = dual_basis(lat, side)
-            for i in range(n):
-                for j in range(n):
-                    tot = QFraction.zero()
-                    for k in range(n):
-                        pair = QFraction(lat.gram[k, j])
-                        if side == "right":
-                            # <b_j, col_i>: anti-linear in the left slot
-                            pair = QFraction(lat.gram[j, k])
-                            tot = tot + pair * cols[k, i]
-                        else:
-                            tot = tot + cols[k, i].bar() * pair
-                    expect = QFraction.one() if i == j else QFraction.zero()
-                    assert tot == expect, (side, i, j)
+            assert (t.star() * g * t).det().normalize_unit()[1] == base
 
 
 def test_norm_shape_examples():
@@ -151,16 +129,44 @@ def test_norm_shape_examples():
     assert norm_shape(fl, (LaurentPoly.q_power(3),)) == 2
 
 
+def rigidity_data(gram, k=None):
+    """Test-side oracle: parse (k, S) out of a Laurent Gram I + q^k S.
+
+    Raises when any entry falls outside the rigid shape, naming it.
+    """
+    n = gram.rows
+    c = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            base = gram[i, j] - one if i == j else gram[i, j]
+            if base.is_zero():
+                continue
+            terms = list(base.terms())
+            if len(terms) != 1:
+                raise ValueError(f"Gram entry ({i}, {j}) violates the rigid shape")
+            deg, coeff = terms[0]
+            if k is None:
+                k = deg
+            elif deg != k:
+                raise ValueError(
+                    f"Gram entry ({i}, {j}) has exponent {deg}, expected {k}")
+            c[i][j] = coeff
+    for i in range(n):
+        for j in range(n):
+            if c[i][j] != c[j][i]:
+                raise ValueError(f"Gram entry ({i}, {j}) breaks symmetry")
+    return k, c
+
+
 def test_rigidity_data_checks_shape():
-    lat = QLattice(QMatrix([[one, q2], [q2, one_q2]]))
-    k, c = rigidity_data(lat)
+    lat = QLattice(2, [[0, 1], [1, 1]], (1, 2))
+    assert lat.gram.entries == ((one, q2), (q2, one_q2))
+    k, c = rigidity_data(lat.gram)
     assert k == 2 and c == [[0, 1], [1, 1]]
-    bad = QLattice(QMatrix([[one, LaurentPoly.q_power(1)],
-                            [LaurentPoly.q_power(1), one_q2]]))
+    bad = QMatrix([[one, LaurentPoly.q_power(1)], [LaurentPoly.q_power(1), one_q2]])
     with pytest.raises(ValueError):
         rigidity_data(bad, k=2)
-    mixed = QLattice(QMatrix([[one_q2, L((1, 1), (2, 1))],
-                              [L((1, 1), (2, 1)), one_q2]]))
+    mixed = QMatrix([[one_q2, L((1, 1), (2, 1))], [L((1, 1), (2, 1)), one_q2]])
     with pytest.raises(ValueError):
         rigidity_data(mixed)
 
@@ -185,7 +191,7 @@ def test_decide_iso_scramble_round_trip_100():
     for lat in (flow_qlattice(theta_b()), cut_qlattice(triangle_b())):
         for _ in range(100):
             sp = random_signed_perm(rng, lat.rank)
-            scrambled = change_basis(lat, sp.matrix(one))
+            scrambled = change_basis(lat, sp)
             w = decide_iso(lat, scrambled)
             assert w is not None
             pm = w.matrix(one)
@@ -204,7 +210,7 @@ def test_lattice_canonical_form_separates_and_identifies():
     rng = random.Random(73)
     ft = flow_qlattice(theta_b())
     for _ in range(50):
-        scrambled = change_basis(ft, random_signed_perm(rng, ft.rank).matrix(one))
+        scrambled = change_basis(ft, random_signed_perm(rng, ft.rank))
         assert lattice_canonical_form(scrambled) == lattice_canonical_form(ft)
     cu = cut_qlattice(triangle_b())
     assert lattice_canonical_form(cu) == lattice_canonical_form(ft)
@@ -218,18 +224,29 @@ def test_rank_zero_lattices():
     fl = flow_qlattice(b)
     assert fl.rank == 0
     assert normalized_det(fl) == one
-    assert is_unimodular(fl)
     w = decide_iso(fl, fl)
     assert w is not None and len(w) == 0
 
 
 def test_qlattice_rejects_degenerate():
+    # k = 0 turns I + q^k S into the integer matrix I + S, here singular
     with pytest.raises(ValueError):
-        QLattice(QMatrix([[one, one], [one, one]]))
+        QLattice(0, [[0, 1], [1, 0]], (1, 2))
+    with pytest.raises(ValueError):
+        QLattice(2, [[0, 1], [2, 0]], (1, 2))
+    with pytest.raises(ValueError):
+        QLattice(2, [[0, 1]], (1, 2))
+    with pytest.raises(ValueError):
+        QLattice(2, [[q2]], (1,))
+    with pytest.raises(ValueError):
+        QLattice(2, [[1]], (1, 2))
+    with pytest.raises(ValueError):
+        QLattice(2, [[1, 0], [0, 1]], (5, 5))
+    with pytest.raises(AttributeError):
+        QLattice(2, [[1]], (1,)).s = ((2,),)
 
 
 def test_q1_specialization_is_classical_gram():
-    from qlat.bipartite import classical_gram
     for g, t in graph_tree_instances(4):
         b = build_bipartite(g, t, force=True)
         assert flow_qlattice(b).gram.eval_q(1).entries == \
@@ -243,15 +260,6 @@ def test_cut_det_constant_coefficient_is_one():
         b = build_bipartite(g, t, force=True)
         det = normalized_det(cut_qlattice(b))
         assert det.coefficient(0) == 1
-
-
-def test_left_dual_is_bar_of_right_dual_for_symmetric_grams():
-    # the duality involution fixes the lattice basis and conjugates
-    # coordinates, so it carries the right dual basis to the left one
-    for lat in (cut_qlattice(triangle_b()), flow_qlattice(theta_b())):
-        right = dual_basis(lat, "right")
-        left = dual_basis(lat, "left")
-        assert left == right.map(lambda x: x.bar())
 
 
 def test_rigidity_sampling_flow_lattices():
@@ -271,3 +279,46 @@ def test_rigidity_sampling_flow_lattices():
             nonzero = [x for x in vec if not x.is_zero()]
             assert len(nonzero) == 1 and nonzero[0].unit_value() is not None
         assert hits >= 0
+
+
+# -- the integer data (k, S) against the Laurent Gram ---------------------------
+
+
+def test_gram_is_derived_from_integer_data_oracle():
+    """I + q^2 (C - I), built entrywise over Z[q,q^-1] from the classical
+    Gram, is the derived Gram, and parsing it back gives (lat.k, lat.s)."""
+    qq = LaurentPoly.q_power(2)
+    bs = [build_bipartite(g, t, force=True) for g, t in graph_tree_instances(5)]
+    bs += random_signed_bipartites(2025, 200, 5, 5)
+    for b in bs:
+        for side, make in (("flow", flow_qlattice), ("cut", cut_qlattice)):
+            c = classical_gram(b, side)
+            lat = make(b)
+            expect = [[one + qq * (x - 1) if i == j else qq * x for j, x in enumerate(row)]
+                      for i, row in enumerate(c.entries)]
+            assert lat.gram.entries == tuple(map(tuple, expect))
+            assert lat.gram.row_labels == lat.gram.col_labels == c.row_labels
+            k, s = rigidity_data(lat.gram)
+            assert (k, tuple(map(tuple, s))) == (lat.k, lat.s)
+
+
+def test_lattice_outputs_are_byte_identical(tmp_path, capsys):
+    """Byte-identity gate for lattice refactors: the pinned sha256 prefix of
+    the JSON gram, det and iso outputs over every family-4 instance and 30
+    random sign matrices up to 5+5."""
+    texts = [emit_graph(g, t, f"f4_{i:02d}") for i, (g, t) in enumerate(graph_tree_instances(4))]
+    texts += [emit_bipartite(b, f"s{i:02d}")
+              for i, b in enumerate(random_signed_bipartites(25, 30, 5, 5))]
+    paths = []
+    for i, text in enumerate(texts):
+        path = tmp_path / f"in{i:02d}.txt"
+        path.write_text(text)
+        paths.append(str(path))
+    runs = [[*cmd, p] for p in paths for cmd in (
+        ["gram", "--flow"], ["gram", "--cut"], ["det", "--flow"], ["det", "--cut", "--normalize"])]
+    runs += [["iso", side, a, b] for a, b in zip(paths, paths[1:]) for side in ("--flow", "--cut")]
+    digest = hashlib.sha256()
+    for run in runs:
+        assert main(["--format", "json", *run]) == 0, run
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest().startswith("7bd00c212cd32857"), digest.hexdigest()
