@@ -13,17 +13,15 @@ from .graphs import (OrientedMultigraph, SpanningTree, cycle_space_gf2,
                      enumerate_spanning_trees, fundamental_cut,
                      fundamental_cycle, tree_overlap_counts, validate)
 from .bipartite import (SignedBipartiteGraph, b_cut, b_cycle, build_bipartite,
-                        classical_gram, dual, switch_vertex)
+                        classical_gram, dual)
 from .algebra import (K0Vector, PathBasisElement, d_matrix,
                       distinguished_classes, euler_form, hom_qtdim, k0_gram,
                       koszul_transport, path_basis, resolve_simple,
                       simple_in_projectives)
 from .lattices import (QLattice, SignedPermutation, change_basis, cut_qlattice,
-                       decide_iso, flow_qlattice, lattice_canonical_form,
-                       norm_shape, normalized_det)
+                       decide_iso, flow_qlattice, norm_shape, normalized_det)
 from .invariants import (MatrixTreeReport, Q2IsoReport, cut_basis_change,
-                         find_flow_cut_split_pair, matrix_tree_enum_oracle,
-                         q_matrix_tree, two_iso_search, verify_glue,
-                         verify_q2iso_pair)
+                         matrix_tree_enum_oracle, q_matrix_tree,
+                         two_iso_search, verify_glue, verify_q2iso_pair)
 
 __version__ = "0.1.0"

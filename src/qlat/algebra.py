@@ -146,8 +146,10 @@ def resolve_simple(b, i):
 def simple_in_projectives(b, i):
     """Class of the simple at i as an alternating sum over its resolution.
 
-    A q-shift of k contributes q^k and a t-shift contributes t; the result
-    must coincide with column i of the inverse Gram matrix.
+    A q-shift of k contributes q^k and a t-shift contributes t.  This is
+    the production route to the simple classes and to G^-1 (see
+    k0_gram_inverse); tests/test_algebra.py keeps the cofactor adjugate
+    of G as its oracle.
     """
     order = vertex_order(b)
     pos = {v: n for n, v in enumerate(order)}
@@ -160,9 +162,21 @@ def simple_in_projectives(b, i):
     return K0Vector(tuple(coords), "projective")
 
 
+def _from_columns(cols, order):
+    return QMatrix(list(zip(*cols)), order, order)
+
+
 @lru_cache(maxsize=None)
 def k0_gram_inverse(b):
-    return k0_gram(b).inverse("unit")
+    """G^-1, whose column i is the class of the simple at vertex i.
+
+    Read off the linear resolutions (simple_in_projectives), so no
+    determinant is taken.  tests/test_algebra.py compares it with the
+    cofactor adjugate of k0_gram, and invariants.simples_match_inverse
+    checks G G^-1 = I against the path-counting G.
+    """
+    order = vertex_order(b)
+    return _from_columns([simple_in_projectives(b, v).coords for v in order], order)
 
 
 @lru_cache(maxsize=None)
@@ -182,25 +196,32 @@ def apply_d(b, coords):
     return d_matrix(b).mul_vector(tuple(c.bar() for c in coords))
 
 
+def _class_matrix(b, tag):
+    """Columns are the classes of one of the five bases, in projective
+    coordinates.  Standard classes are the projectives on part0 and the
+    simples on part1; costandard classes swap in the injectives on part0.
+    """
+    order = vertex_order(b)
+    if tag == "projective":
+        return QMatrix.identity(len(order), QTElement.one(), order)
+    if tag == "simple":
+        return k0_gram_inverse(b)
+    if tag == "injective":
+        return d_matrix(b)
+    if tag not in BASIS_TAGS:
+        raise ValueError(f"unknown basis tag {tag!r}")
+    on_part0 = _class_matrix(b, "projective" if tag == "standard" else "injective")
+    ginv = k0_gram_inverse(b)
+    n0 = len(b.part0)
+    return _from_columns([on_part0.column(k) if k < n0 else ginv.column(k)
+                          for k in range(len(order))], order)
+
+
 def to_projective(b, vec):
     """Convert a K0Vector in any of the five bases to projective coordinates."""
     if vec.basis == "projective":
         return vec.coords
-    cols = {
-        "simple": lambda: k0_gram_inverse(b),
-        "injective": lambda: d_matrix(b),
-        "standard": lambda: _family_matrix(b, "standard"),
-        "costandard": lambda: _family_matrix(b, "costandard"),
-    }[vec.basis]()
-    return cols.mul_vector(vec.coords)
-
-
-def _family_matrix(b, tag):
-    fams = distinguished_classes(b)
-    cols = [list(v.coords) for v in fams[tag]]
-    ent = [[cols[j][i] for j in range(len(cols))] for i in range(len(cols))]
-    order = vertex_order(b)
-    return QMatrix(ent, order, order)
+    return _class_matrix(b, vec.basis).mul_vector(vec.coords)
 
 
 def euler_form(b, x, y):
@@ -219,12 +240,13 @@ def euler_form(b, x, y):
 
 
 def gram_in_basis(b, tag):
-    """Gram matrix of the Euler form in one of the five distinguished bases."""
-    fams = distinguished_classes(b)
-    vecs = fams[tag]
-    order = vertex_order(b)
-    ent = [[euler_form(b, u, v) for v in vecs] for u in vecs]
-    return QMatrix(ent, order, order)
+    """Gram matrix of the Euler form in one of the five distinguished bases.
+
+    C* G C for the class matrix C of the basis.  tests/test_algebra.py
+    keeps the entrywise euler_form double loop as its oracle.
+    """
+    c = _class_matrix(b, tag)
+    return c.star() * k0_gram(b) * c
 
 
 @lru_cache(maxsize=None)
@@ -232,30 +254,13 @@ def distinguished_classes(b):
     """Projective, simple, injective, standard and costandard classes.
 
     All are returned in projective-basis coordinates, indexed by vertex
-    order.  Standard classes are the projectives on part0 and the simples
-    on part1; costandard classes swap in the injectives on part0.
+    order: the columns of each basis's class matrix.
     """
-    order = vertex_order(b)
-    n = len(order)
-    p0 = set(b.part0)
-    ginv = k0_gram_inverse(b)
-    dmat = d_matrix(b)
-
-    def unit_vec(k):
-        return tuple(QTElement.one() if i == k else QTElement.zero() for i in range(n))
-
-    projectives = [K0Vector(unit_vec(k), "projective") for k in range(n)]
-    simples = [K0Vector(ginv.column(k), "projective") for k in range(n)]
-    injectives = [K0Vector(dmat.column(k), "projective") for k in range(n)]
-    standard = [projectives[k] if order[k] in p0 else simples[k] for k in range(n)]
-    costandard = [injectives[k] if order[k] in p0 else simples[k] for k in range(n)]
-    return {
-        "projective": projectives,
-        "simple": simples,
-        "injective": injectives,
-        "standard": standard,
-        "costandard": costandard,
-    }
+    out = {}
+    for tag in BASIS_TAGS:
+        c = _class_matrix(b, tag)
+        out[tag] = [K0Vector(c.column(k), "projective") for k in range(c.cols)]
+    return out
 
 
 def koszul_transport(b, x):

@@ -135,12 +135,3 @@ def classical_gram(b, side):
     vecs = [vector(b, v) for v in labels]
     ent = [[vec_dot(u, v) for v in vecs] for u in vecs]
     return QMatrix(ent, labels, labels)
-
-
-def switch_vertex(b, v):
-    """Negate all signs incident to v (reorienting one underlying edge)."""
-    if v not in set(b.part0) and v not in set(b.part1):
-        raise ValueError(f"unknown vertex {v}")
-    flipped = {
-        (i, j): (-s if v in (i, j) else s) for (i, j), s in b.signs.items()}
-    return SignedBipartiteGraph(b.part0, b.part1, flipped)

@@ -5,7 +5,8 @@ bipartite files; graph inputs are converted through their bipartite graph
 where needed.  Global --format selects text, json or latex emission;
 --jobs parallelizes the family-level verify driver with output identical
 to the serial run.  Exit status: 0 on success, 1 when verify finds a
-failing property, 2 for usage or parse errors.
+failing property, 2 for usage or parse errors, 3 for an internal failure
+such as running out of memory.
 """
 
 from __future__ import annotations
@@ -507,12 +508,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except ValueError as exc:  # ParseError included
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except Exception as exc:  # MemoryError included: one line, never a traceback
+        sys.stderr.write(f"error: internal failure ({type(exc).__name__}): {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -3,15 +3,13 @@
 connected_bridgeless_multigraphs enumerates, up to isomorphism, every
 connected bridgeless multigraph with at most a given number of edges
 (loops and parallel edges included); graph_tree_instances pairs each with
-all of its spanning trees.  random_signed_bipartite draws arbitrary sign
-matrices for the non-graphical test surface.
+all of its spanning trees.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations
 
-from .bipartite import SignedBipartiteGraph
 from .graphs import OrientedMultigraph, bridges, enumerate_spanning_trees, is_connected
 
 
@@ -61,43 +59,4 @@ def graph_tree_instances(max_edges, loopless=False):
     for g in connected_bridgeless_multigraphs(max_edges, loopless=loopless):
         for t in enumerate_spanning_trees(g):
             out.append((g, t))
-    return out
-
-
-def random_signed_bipartite(rng, n0, n1, edge_prob=0.6):
-    """A random sign matrix on parts of sizes n0 and n1."""
-    part0 = range(1, n0 + 1)
-    part1 = range(n0 + 1, n0 + n1 + 1)
-    signs = {}
-    for i in part0:
-        for j in part1:
-            if rng.random() < edge_prob:
-                signs[(i, j)] = rng.choice((-1, 1))
-    return SignedBipartiteGraph(part0, part1, signs)
-
-
-def random_signed_bipartites(seed, count, max_part0, max_part1):
-    """A reproducible stream of random signed bipartite graphs."""
-    import random
-
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        n0 = rng.randint(0, max_part0)
-        n1 = rng.randint(0, max_part1)
-        out.append(random_signed_bipartite(rng, n0, n1))
-    return out
-
-
-def bipartite_split_instances(seed, per_split, max_vertices):
-    """Random-sign instances covering every part-size split up to max_vertices."""
-    import random
-
-    rng = random.Random(seed)
-    out = []
-    for total in range(1, max_vertices + 1):
-        for n0 in range(0, total + 1):
-            n1 = total - n0
-            for _ in range(per_split):
-                out.append(random_signed_bipartite(rng, n0, n1))
     return out

@@ -21,7 +21,7 @@ from .graphs import (cut_side, cycle_space_gf2, fundamental_cycle, gf2_in_span,
 from .lattices import cut_qlattice, decide_iso, flow_qlattice, normalized_det
 from .laurent import LaurentPoly, QTElement
 from .matrices import QMatrix
-from .algebra import distinguished_classes, euler_form, k0_gram
+from .algebra import distinguished_classes, euler_form, k0_gram, k0_gram_inverse
 
 
 def q_incidence(g, t):
@@ -261,95 +261,6 @@ def _maps_cycle_space(g1, g2, mapping):
     return True
 
 
-def find_flow_cut_split_pair(max_part0=2, max_part1=2, limit=1, guided=True):
-    """Search for signed bipartite graphs with the same q-flow lattice but
-    different q-cut lattices.
-
-    No such pair exists among graphical inputs (there the two lattices
-    determine each other), so any hit is necessarily non-graphical.  The
-    exhaustive sweep compares canonical lattice forms over all sign
-    matrices within the given part sizes; it comes up empty through 3+3.
-    The guided phase then sweeps 4+4 sign matrices whose columns are
-    roots e_i +- e_j, pairing each with its image under the orthogonal
-    transform H/2 (H the 4x4 sign Hadamard matrix): that transform
-    permutes such columns, so it preserves the column Gram (the q-flow
-    data) while it may change the row Gram (the q-cut data).
-    """
-    from itertools import combinations_with_replacement, product
-
-    from .bipartite import SignedBipartiteGraph
-    from .lattices import lattice_canonical_form
-
-    found = []
-    for n0 in range(1, max_part0 + 1):
-        for n1 in range(1, max_part1 + 1):
-            cells = [(i, n0 + j) for i in range(1, n0 + 1)
-                     for j in range(1, n1 + 1)]
-            by_flow = {}
-            for signs in product((0, 1, -1), repeat=len(cells)):
-                sm = {c: s for c, s in zip(cells, signs) if s}
-                b = SignedBipartiteGraph(range(1, n0 + 1),
-                                         range(n0 + 1, n0 + n1 + 1), sm)
-                fkey = lattice_canonical_form(flow_qlattice(b))
-                ckey = lattice_canonical_form(cut_qlattice(b))
-                bucket = by_flow.setdefault(fkey, {})
-                if any(other_ckey != ckey for other_ckey in bucket):
-                    other = next(bb for other_ckey, bb in bucket.items()
-                                 if other_ckey != ckey)
-                    found.append((other, b))
-                    if len(found) >= limit:
-                        return found
-                bucket.setdefault(ckey, b)
-    if not guided or len(found) >= limit:
-        return found
-
-    hadamard = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
-
-    def half_image(col):
-        out = []
-        for row in hadamard:
-            s = sum(r * c for r, c in zip(row, col))
-            if s % 2 or abs(s) > 2:
-                return None
-            out.append(s // 2)
-        return tuple(out)
-
-    def as_bipartite(cols):
-        signs = {}
-        for j, col in enumerate(cols):
-            for i, s in enumerate(col):
-                if s:
-                    signs[(i + 1, 5 + j)] = s
-        return SignedBipartiteGraph((1, 2, 3, 4), (5, 6, 7, 8), signs)
-
-    roots = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for s in (1, -1):
-                vec = [0, 0, 0, 0]
-                vec[i], vec[j] = 1, s
-                roots.append(tuple(vec))
-    for cols in combinations_with_replacement(roots, 4):
-        images = [half_image(c) for c in cols]
-        if any(im is None for im in images):
-            continue
-        b1 = as_bipartite(cols)
-        b2 = as_bipartite(images)
-        if any(not b1.neighbors(v) or not b2.neighbors(v)
-               for v in (1, 2, 3, 4)):
-            continue
-        if (lattice_canonical_form(cut_qlattice(b1))
-                != lattice_canonical_form(cut_qlattice(b2))):
-            # columns were carried by an orthogonal map, so the flow
-            # lattices agree; assert rather than assume
-            if (lattice_canonical_form(flow_qlattice(b1))
-                    == lattice_canonical_form(flow_qlattice(b2))):
-                found.append((b1, b2))
-                if len(found) >= limit:
-                    return found
-    return found
-
-
 # -- reusable boolean checks -------------------------------------------------
 
 
@@ -455,14 +366,15 @@ def bipartite_matches_graph(g, t, b):
 
 
 def simples_match_inverse(b):
-    """Resolution-derived simple classes equal inverse-Gram columns."""
-    from .algebra import k0_gram_inverse, simple_in_projectives, vertex_order
+    """The resolution classes invert the graded Gram matrix: G G^-1 = I.
 
-    ginv = k0_gram_inverse(b)
-    for k, v in enumerate(vertex_order(b)):
-        if simple_in_projectives(b, v).coords != ginv.column(k):
-            return False
-    return True
+    G^-1 is built from the linear resolutions (algebra.k0_gram_inverse)
+    and G from hom_qtdim's path count, so the two routes stay independent.
+    tests/test_invariants.py plants a wrong resolution and checks that
+    this fails.
+    """
+    g = k0_gram(b)
+    return g * k0_gram_inverse(b) == QMatrix.identity(g.rows, QTElement.one())
 
 
 def bipartite_checks(b):

@@ -179,28 +179,6 @@ def change_basis(lat, sp):
                             for i in range(n)], lat.basis_labels)
 
 
-def lattice_canonical_form(lat):
-    """Canonical representative of the rigid coefficient matrix.
-
-    Minimizes the integer matrix S (Gram = I + q^k S) over simultaneous
-    signed permutations; two rigid-shape lattices are isomorphic exactly
-    when their canonical forms (and exponents) agree.  Exponential in the
-    rank, fine at desk scale.
-    """
-    from itertools import permutations, product
-
-    k, c = lat.k, lat.s
-    n = lat.rank
-    best = None
-    for perm in permutations(range(n)):
-        for signs in product((1, -1), repeat=n):
-            cand = tuple(tuple(signs[i] * signs[j] * c[perm[i]][perm[j]]
-                               for j in range(n)) for i in range(n))
-            if best is None or cand < best:
-                best = cand
-    return k, best
-
-
 def decide_iso(lat1, lat2):
     """Signed permutation P with gram2 = P* gram1 P, or None.
 

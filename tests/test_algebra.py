@@ -1,16 +1,20 @@
+import hashlib
 import random
 
 import pytest
 
-from qlat.algebra import (K0Vector, apply_d, d_matrix, distinguished_classes,
+from qlat.algebra import (BASIS_TAGS, K0Vector, apply_d, d_matrix, distinguished_classes,
                           euler_form, gram_in_basis, hom_qtdim, k0_gram,
                           k0_gram_inverse, koszul_substitute, koszul_transport,
                           path_basis, resolve_simple, simple_in_projectives,
                           to_projective, vertex_order)
 from qlat.bipartite import SignedBipartiteGraph, build_bipartite, dual
-from qlat.families import bipartite_split_instances, graph_tree_instances, random_signed_bipartite
+from qlat.cli import main
+from qlat.families import graph_tree_instances
+from qlat.fileio import emit_bipartite, emit_graph
 from qlat.laurent import LaurentPoly, QTElement
 from qlat.matrices import QMatrix
+from support import random_signed_bipartite, random_signed_bipartites
 
 
 def L(*terms):
@@ -125,14 +129,20 @@ def test_simple_classes_worked_example():
 
 
 def test_simples_equal_inverse_gram_columns_everywhere():
+    """Oracle for the resolution route: k0_gram_inverse equals the cofactor
+    adjugate of k0_gram, labels included, on family 5 and 200 seeded sign
+    matrices up to 4+4 (empty parts included)."""
     rng = random.Random(29)
-    graphs = [random_signed_bipartite(rng, rng.randint(0, 3), rng.randint(0, 3))
-              for _ in range(40)]
-    graphs += [two_plus_one(), triangle_b()]
+    graphs = [build_bipartite(g, t, force=True) for g, t in graph_tree_instances(5)]
+    graphs += [random_signed_bipartite(rng, rng.randint(0, 4), rng.randint(0, 4))
+               for _ in range(200)]
+    graphs += [two_plus_one(), triangle_b(), SignedBipartiteGraph([], [], {})]
+    assert any(not b.part0 and b.part1 for b in graphs)
+    assert any(b.part0 and not b.part1 for b in graphs)
     for b in graphs:
-        ginv = k0_gram_inverse(b)
-        for k, v in enumerate(vertex_order(b)):
-            assert simple_in_projectives(b, v).coords == ginv.column(k)
+        ginv, adjugate = k0_gram_inverse(b), k0_gram(b).inverse("unit")
+        assert ginv == adjugate, b.signs
+        assert (ginv.row_labels, ginv.col_labels) == (adjugate.row_labels, adjugate.col_labels)
 
 
 def test_euler_form_worked_values():
@@ -158,6 +168,44 @@ def test_standard_gram_worked_example():
     assert s.entries == ((QTElement.one(), QTElement.zero(), QTElement.zero()),
                          (QTElement.zero(), QTElement.one(), QTElement.zero()),
                          (qm, qm, QTElement.one()))
+
+
+def _gram_by_euler_loop(b, tag):
+    """The entrywise route: one euler_form call per pair of classes."""
+    vecs = distinguished_classes(b)[tag]
+    order = vertex_order(b)
+    return QMatrix([[euler_form(b, u, v) for v in vecs] for u in vecs], order, order)
+
+
+def test_gram_in_basis_matches_euler_form_loop():
+    rng = random.Random(61)
+    graphs = [build_bipartite(g, t, force=True) for g, t in graph_tree_instances(4)]
+    graphs += [random_signed_bipartite(rng, rng.randint(0, 3), rng.randint(0, 3))
+               for _ in range(40)]
+    for b in graphs:
+        for tag in BASIS_TAGS:
+            got, want = gram_in_basis(b, tag), _gram_by_euler_loop(b, tag)
+            assert got == want, (b.signs, tag)
+            assert (got.row_labels, got.col_labels) == (want.row_labels, want.col_labels)
+    with pytest.raises(ValueError):
+        gram_in_basis(two_plus_one(), "bogus")
+
+
+def test_algebra_outputs_are_byte_identical(tmp_path, capsys):
+    """Byte-identity gate for algebra refactors: the pinned sha256 prefix of
+    the JSON `algebra --classes`, `algebra --homs` and `gram --k0` outputs
+    over every family-4 instance and 30 random sign matrices up to 5+5."""
+    texts = [emit_graph(g, t, f"f4_{i:02d}") for i, (g, t) in enumerate(graph_tree_instances(4))]
+    texts += [emit_bipartite(b, f"s{i:02d}")
+              for i, b in enumerate(random_signed_bipartites(25, 30, 5, 5))]
+    digest = hashlib.sha256()
+    for i, text in enumerate(texts):
+        path = tmp_path / f"in{i:02d}.txt"
+        path.write_text(text)
+        for cmd in (["algebra", "--classes"], ["algebra", "--homs"], ["gram", "--k0"]):
+            assert main(["--format", "json", *cmd, str(path)]) == 0, (cmd, text)
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest().startswith("3137c3394ff762d6"), digest.hexdigest()
 
 
 def test_standard_costandard_dual_pairing():

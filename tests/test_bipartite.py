@@ -3,9 +3,10 @@ import random
 import pytest
 
 from qlat.bipartite import (SignedBipartiteGraph, b_cut, b_cycle, build_bipartite,
-                            classical_gram, dual, switch_vertex, vec_dot)
-from qlat.families import graph_tree_instances, random_signed_bipartite
+                            classical_gram, dual, vec_dot)
+from qlat.families import graph_tree_instances
 from qlat.graphs import OrientedMultigraph, SpanningTree
+from support import random_signed_bipartite, switch_vertex
 
 
 def triangle_pair():

@@ -368,3 +368,17 @@ def test_verify_family_5_stdout_is_byte_identical(capsys):
     assert main(["verify", "--family", "5"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest.startswith("ec86ca17ab399de7")
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), RuntimeError("boom")])
+def test_unexpected_failure_exits_3_without_traceback(files, capsys, monkeypatch, exc):
+    import qlat.cli
+
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(qlat.cli, "q_matrix_tree", fail)
+    assert main(["matrix-tree", files["triangle"]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: internal failure ({type(exc).__name__}): {exc}\n"

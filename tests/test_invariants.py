@@ -2,16 +2,17 @@ import random
 
 import pytest
 
+from qlat import algebra
 from qlat.bipartite import build_bipartite
-from qlat.families import graph_tree_instances, random_signed_bipartite
+from qlat.families import graph_tree_instances
 from qlat.graphs import OrientedMultigraph, SpanningTree, enumerate_spanning_trees
-from qlat.invariants import (cut_basis_change, find_flow_cut_split_pair,
-                             flow_cut_duality_ok, instance_checks,
+from qlat.invariants import (cut_basis_change, flow_cut_duality_ok, instance_checks,
                              koszul_identity_ok, matrix_tree_enum_oracle,
-                             q_incidence, q_matrix_tree, two_iso_search,
-                             verify_glue, verify_q2iso_pair)
+                             q_incidence, q_matrix_tree, simples_match_inverse,
+                             two_iso_search, verify_glue, verify_q2iso_pair)
 from qlat.lattices import cut_qlattice, decide_iso, flow_qlattice
 from qlat.laurent import LaurentPoly
+from support import find_flow_cut_split_pair, random_signed_bipartite, switch_vertex
 
 
 def L(*terms):
@@ -266,7 +267,6 @@ def test_instance_checks_bundle():
 def test_koszul_identity_on_reoriented_graphs():
     # reorientations flip bipartite signs; identity must hold for them all
     g, t = triangle()
-    from qlat.bipartite import switch_vertex
     b = build_bipartite(g, t)
     for v in (1, 2, 3):
         assert koszul_identity_ok(switch_vertex(b, v))
@@ -322,3 +322,37 @@ def test_flow_cut_split_pair_search():
     assert decide_iso(cut_qlattice(b1), cut_qlattice(b2)) is None
     for v in b1.part0 + b1.part1:
         assert b1.neighbors(v)
+
+
+def test_planted_resolution_mutant_fails_the_checks(monkeypatch):
+    """Flip the t-parity of the first degree-1 summand of every resolution.
+    G G^-1 = I must then fail wherever a vertex has an arrow, and on the
+    triangle the gluing orthogonality must fail too."""
+    real = algebra.resolve_simple
+
+    def mutant(b, i):
+        res = real(b, i)
+        if len(res.steps) < 2:
+            return res
+        (v, qs, ts), *rest = res.steps[1]
+        flipped = ((v, qs, 1 - ts), *rest)
+        return algebra.Resolution(res.vertex, (res.steps[0], flipped, *res.steps[2:]))
+
+    caches = (algebra.k0_gram, algebra.k0_gram_inverse, algebra.d_matrix,
+              algebra.distinguished_classes)
+    tri = build_bipartite(*triangle())
+    family = [build_bipartite(g, t, force=True) for g, t in graph_tree_instances(4)]
+    monkeypatch.setattr(algebra, "resolve_simple", mutant)
+    try:
+        for fn in caches:
+            fn.cache_clear()
+        assert not simples_match_inverse(tri)
+        assert not verify_glue(tri).orthogonal
+        for b in family:
+            has_arrow = any(b.neighbors(v) for v in b.vertices())
+            assert simples_match_inverse(b) is not has_arrow, b.signs
+    finally:
+        monkeypatch.undo()
+        for fn in caches:
+            fn.cache_clear()
+    assert simples_match_inverse(tri) and verify_glue(tri).orthogonal

@@ -5,16 +5,16 @@ import pytest
 
 from qlat.bipartite import build_bipartite, classical_gram, dual
 from qlat.cli import main
-from qlat.families import (graph_tree_instances, random_signed_bipartite,
-                           random_signed_bipartites)
+from qlat.families import graph_tree_instances
 from qlat.fileio import emit_bipartite, emit_graph
 from qlat.graphs import OrientedMultigraph, SpanningTree
 from qlat.lattices import (QLattice, SignedPermutation, change_basis,
                            cut_gram_from_algebra, cut_qlattice, decide_iso,
-                           flow_gram_from_algebra, flow_qlattice,
-                           lattice_canonical_form, norm_shape, normalized_det)
+                           flow_gram_from_algebra, flow_qlattice, norm_shape,
+                           normalized_det)
 from qlat.laurent import LaurentPoly
 from qlat.matrices import QMatrix
+from support import lattice_canonical_form, random_signed_bipartite, random_signed_bipartites
 
 
 def L(*terms):
