@@ -21,7 +21,8 @@ from .bipartite import build_bipartite, dual
 from .fileio import ParseError, emit_bipartite, parse_bipartite, parse_graph, sniff_kind
 from .graphs import validate
 from .invariants import (bipartite_checks, instance_checks, matrix_tree_enum_oracle,
-                         q_matrix_tree, two_iso_search, verify_q2iso_pair)
+                         q2iso_instance, q_matrix_tree, two_iso_search,
+                         verify_q2iso_pair)
 from .families import graph_tree_instances
 from .lattices import (SignedPermutation, change_basis, cut_qlattice,
                        decide_iso, flow_qlattice, norm_shape, normalized_det)
@@ -121,11 +122,9 @@ def cmd_gram(args):
 def cmd_det(args):
     b, _, _, _ = _load_any(args.file)
     lat = flow_qlattice(b) if args.flow else cut_qlattice(b)
-    if args.normalize:
-        p = normalized_det(lat)
-    else:
-        p = lat.gram.det() if lat.rank else LaurentPoly.one()
-    _print(_emit_poly(p, args.format))
+    # det(I + q^k S) with k > 0 has constant term 1, so it is already the
+    # normalized representative and --normalize changes nothing.
+    _print(_emit_poly(normalized_det(lat), args.format))
     return 0
 
 
@@ -134,7 +133,7 @@ def cmd_matrix_tree(args):
     if args.oracle:
         p = matrix_tree_enum_oracle(g, t)
     else:
-        p = q_matrix_tree(g, t).det_q0
+        _, p = q_matrix_tree(g, t)
     _print(_emit_poly(p, args.format))
     return 0
 
@@ -359,21 +358,16 @@ def _family_checks(max_edges, jobs):
 
 
 def _family_pair_checks(instances):
-    """Three-way q2iso agreement over the loopless valid sub-family."""
-    eligible = []
-    for g, t in instances:
-        if any(g.is_loop(e) for e in range(1, g.edge_count + 1)):
-            continue
-        if not validate(g, t).ok:
-            continue
-        eligible.append((g, t))
+    """Three-way q2iso agreement on every pair of the loopless valid
+    sub-family; each instance's record is built once."""
+    eligible = [q2iso_instance(g, t) for g, t in instances
+                if not any(g.is_loop(e) for e in range(1, g.edge_count + 1))
+                and validate(g, t).ok]
     disagreements = 0
     pairs = 0
     for a in range(len(eligible)):
         for bdx in range(a, len(eligible)):
-            g1, t1 = eligible[a]
-            g2, t2 = eligible[bdx]
-            rep = verify_q2iso_pair(g1, t1, g2, t2)
+            rep = verify_q2iso_pair(eligible[a], eligible[bdx])
             pairs += 1
             if not rep.agree:
                 disagreements += 1
@@ -463,7 +457,8 @@ def build_parser():
     grp.add_argument("--flow", action="store_true")
     grp.add_argument("--cut", action="store_true")
     p.add_argument("--normalize", action="store_true",
-                   help="canonical representative modulo units")
+                   help="canonical representative modulo units; the lattice "
+                        "determinant already is one, so both forms agree")
     p.add_argument("file")
     p.set_defaults(func=cmd_det)
 

@@ -1,24 +1,28 @@
 """Theorem-level pipelines with independent oracles.
 
 The matrix-tree pipeline builds the signed q-incidence matrix D (entries
-+-1 on tree columns, +-q on the rest), forms Q0 = D0 D0^t with the last
-vertex row deleted, and checks det Q0 against two independent routes: the
++-1 on tree columns, +-q on the rest) and forms Q0 = D0 D0^t with the
+last vertex row deleted.  Its determinant is the tree-counting
+polynomial; instance_checks compares it with two independent routes: the
 spanning-tree enumeration polynomial sum_i c_i q^(2i), where c_i counts
 trees differing from the chosen one in exactly i edges, and the
 normalized cut-lattice determinant.  The two-isomorphism search decides
-whether a tree-preserving, cycle-preserving edge bijection exists, and
-the paired report cross-validates it against signed-permutation
-isomorphism of the q-flow and q-cut lattices.
+whether a tree-preserving, cycle-preserving edge bijection exists.  For
+the paired cross-validation each (graph, tree) instance is turned once
+into a record (its q-flow and q-cut lattices and its fundamental
+incidence), and each pair of records is then compared three ways:
+two-isomorphism and signed-permutation isomorphism of both lattices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bipartite import build_bipartite
 from .graphs import (cut_side, cycle_space_gf2, fundamental_cycle, gf2_in_span,
-                     gf2_reduce, require_valid, tree_overlap_counts, validate)
-from .lattices import cut_qlattice, decide_iso, flow_qlattice, normalized_det
+                     gf2_reduce, require_valid, tree_overlap_counts)
+from .lattices import QLattice, cut_qlattice, decide_iso, flow_qlattice, normalized_det
 from .laurent import LaurentPoly, QTElement
 from .matrices import QMatrix
 from .algebra import distinguished_classes, euler_form, k0_gram, k0_gram_inverse
@@ -53,21 +57,6 @@ def q_incidence(g, t):
     return QMatrix(ent, tuple(range(1, g.vertex_count + 1)), tuple(cols))
 
 
-@dataclass(frozen=True)
-class MatrixTreeReport:
-    incidence: QMatrix
-    q0: QMatrix
-    det_q0: LaurentPoly
-    enum_poly: LaurentPoly
-    cut_det: LaurentPoly
-    det_matches_enum: bool
-    det_matches_cut: bool
-
-    @property
-    def ok(self):
-        return self.det_matches_enum and self.det_matches_cut
-
-
 def matrix_tree_enum_oracle(g, t):
     """sum_i c_i q^(2i) straight from spanning-tree enumeration."""
     counts = tree_overlap_counts(g, t)
@@ -75,7 +64,12 @@ def matrix_tree_enum_oracle(g, t):
 
 
 def q_matrix_tree(g, t):
-    """Full matrix-tree report with both independent cross-checks."""
+    """(Q0, det Q0) for Q0 = D0 D0^t, D0 being q_incidence less its last row.
+
+    det Q0 is the tree-counting polynomial sum_i c_i q^(2i) up to a unit
+    +-q^k.  No oracle runs here: instance_checks compares det Q0 with
+    matrix_tree_enum_oracle and with the normalized cut-lattice det.
+    """
     require_valid(g, t, force=True)
     d = q_incidence(g, t)
     d0 = d.submatrix(range(g.vertex_count - 1), range(g.edge_count))
@@ -83,18 +77,7 @@ def q_matrix_tree(g, t):
     det_q0 = q0.det()
     if isinstance(det_q0, int):
         det_q0 = LaurentPoly.from_int(det_q0)
-    _, det_norm = det_q0.normalize_unit()
-    enum_poly = matrix_tree_enum_oracle(g, t)
-    cut_det = normalized_det(cut_qlattice(build_bipartite(g, t, force=True)))
-    return MatrixTreeReport(
-        incidence=d,
-        q0=q0,
-        det_q0=det_q0,
-        enum_poly=enum_poly,
-        cut_det=cut_det,
-        det_matches_enum=(det_norm == enum_poly),
-        det_matches_cut=(det_norm == cut_det),
-    )
+    return q0, det_q0
 
 
 def cut_basis_change(g, t):
@@ -155,8 +138,16 @@ def verify_glue(b):
     return GlueReport(orthogonal, dets_equal, k0_unimodular)
 
 
-def _fundamental_incidence(g, t):
-    """(tree edge, non-tree edge) -> membership of the tree edge in the cycle."""
+class _Incidence(NamedTuple):
+    """A (graph, tree) with its fundamental incidence and pruning signature."""
+    g: object
+    t: object
+    inc: dict          # (tree edge, non-tree edge) -> 1 if the edge is on the cycle
+    sig: dict          # edge -> bijection-invariant refinement key
+    sig_sorted: tuple  # the multiset of keys, compared before any search
+
+
+def _incidence(g, t):
     tree = sorted(t.tree_edges)
     cotree = [e for e in range(1, g.edge_count + 1) if e not in t.tree_edges]
     inc = {}
@@ -164,7 +155,8 @@ def _fundamental_incidence(g, t):
         cyc = fundamental_cycle(g, t, f)
         for i in tree:
             inc[(i, f)] = 1 if cyc[i - 1] != 0 else 0
-    return tree, cotree, inc
+    sig = _edge_signature(tree, cotree, inc)
+    return _Incidence(g, t, inc, sig, tuple(sorted(sig.values())))
 
 
 def _edge_signature(tree, cotree, inc):
@@ -192,22 +184,22 @@ def two_iso_search(g1, t1, g2, t2):
     """
     require_valid(g1, t1)
     require_valid(g2, t2)
+    return _least_two_iso(_incidence(g1, t1), _incidence(g2, t2))
+
+
+def _least_two_iso(x, y):
+    g1, g2 = x.g, y.g
     if g1.edge_count != g2.edge_count or g1.vertex_count != g2.vertex_count:
         return None
-    tree1, cotree1, inc1 = _fundamental_incidence(g1, t1)
-    tree2, cotree2, inc2 = _fundamental_incidence(g2, t2)
-    if len(tree1) != len(tree2):
+    if x.sig_sorted != y.sig_sorted:
         return None
-    sig1 = _edge_signature(tree1, cotree1, inc1)
-    sig2 = _edge_signature(tree2, cotree2, inc2)
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return None
+    sig1, sig2, inc1, inc2 = x.sig, y.sig, x.inc, y.inc
 
     m = g1.edge_count
     image = [None] * (m + 1)
     used = [False] * (m + 1)
-    in_t1 = t1.tree_edges
-    in_t2 = t2.tree_edges
+    in_t1 = x.t.tree_edges
+    in_t2 = y.t.tree_edges
 
     def consistent(e, cand):
         if sig1[e] != sig2[cand]:
@@ -396,21 +388,18 @@ def instance_checks(g, t):
     """The standard per-instance check battery for one (graph, tree) pair:
     the bipartite checks plus the graph-only ones."""
     b = build_bipartite(g, t, force=True)
-    mt = q_matrix_tree(g, t)
+    cut = cut_qlattice(b)
+    q0, det_q0 = q_matrix_tree(g, t)
+    _, det_norm = det_q0.normalize_unit()
+    tm = cut_basis_change(g, t)
     return {
-        "matrix_tree_det_vs_enum": mt.det_matches_enum,
-        "matrix_tree_det_vs_cut": mt.det_matches_cut,
+        "matrix_tree_det_vs_enum": det_norm == matrix_tree_enum_oracle(g, t),
+        "matrix_tree_det_vs_cut": det_norm == normalized_det(cut),
         **bipartite_checks(b),
         "sign_duality": sign_duality_ok(g, t),
         "bipartite_matches_graph": bipartite_matches_graph(g, t, b),
-        "cut_basis_change": _cut_basis_change_ok(g, t, mt, b),
+        "cut_basis_change": (tm.transpose() * q0 * tm).entries == cut.gram.entries,
     }
-
-
-def _cut_basis_change_ok(g, t, mt, b):
-    tm = cut_basis_change(g, t)
-    lhs = tm.transpose() * mt.q0 * tm
-    return lhs.entries == cut_qlattice(b).gram.entries
 
 
 @dataclass(frozen=True)
@@ -427,21 +416,32 @@ class Q2IsoReport:
         return self.flow_iso == self.two_iso == self.cut_iso
 
 
-def verify_q2iso_pair(g1, t1, g2, t2):
-    """All three equivalent predicates, cross-validated.
+@dataclass(frozen=True)
+class Q2IsoInstance:
+    """What verify_q2iso_pair compares of one (graph, tree) instance."""
+    flow: QLattice
+    cut: QLattice
+    incidence: _Incidence
 
-    Only stated for loopless 2-edge-connected graphs; anything else is
-    rejected rather than tested outside its hypotheses.
+
+def q2iso_instance(g, t):
+    """The q-flow and q-cut lattices of (g, t) and its fundamental incidence.
+
+    The theorem is only stated for loopless 2-edge-connected graphs;
+    anything else is rejected rather than tested outside its hypotheses.
+    The incidence is walked from fundamental_cycle on g, not read off the
+    bipartite graph, so the two-isomorphism predicate stays independent
+    of build_bipartite.
     """
-    for g, t in ((g1, t1), (g2, t2)):
-        rep = validate(g, t)
-        if not rep.ok:
-            raise ValueError(f"hypotheses violated: {rep.violations}")
-        if any(g.is_loop(e) for e in range(1, g.edge_count + 1)):
-            raise ValueError("hypotheses violated: graph has a loop")
-    b1 = build_bipartite(g1, t1)
-    b2 = build_bipartite(g2, t2)
-    fw = decide_iso(flow_qlattice(b1), flow_qlattice(b2))
-    cw = decide_iso(cut_qlattice(b1), cut_qlattice(b2))
-    tw = two_iso_search(g1, t1, g2, t2)
+    b = build_bipartite(g, t)
+    if any(g.is_loop(e) for e in range(1, g.edge_count + 1)):
+        raise ValueError("hypotheses violated: graph has a loop")
+    return Q2IsoInstance(flow_qlattice(b), cut_qlattice(b), _incidence(g, t))
+
+
+def verify_q2iso_pair(x, y):
+    """All three equivalent predicates on two q2iso_instance records."""
+    fw = decide_iso(x.flow, y.flow)
+    cw = decide_iso(x.cut, y.cut)
+    tw = _least_two_iso(x.incidence, y.incidence)
     return Q2IsoReport(fw is not None, tw is not None, cw is not None, fw, tw, cw)

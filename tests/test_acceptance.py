@@ -16,7 +16,8 @@ from qlat.algebra import (apply_d, distinguished_classes, euler_form,
 from qlat.bipartite import SignedBipartiteGraph, build_bipartite, dual
 from qlat.families import graph_tree_instances
 from qlat.graphs import OrientedMultigraph, SpanningTree, validate
-from qlat.invariants import q_matrix_tree, verify_q2iso_pair
+from qlat.invariants import (matrix_tree_enum_oracle, q2iso_instance, q_matrix_tree,
+                             verify_q2iso_pair)
 from qlat.lattices import (SignedPermutation, change_basis, cut_qlattice,
                            decide_iso, flow_qlattice, normalized_det)
 from qlat.laurent import LaurentPoly, QTElement
@@ -86,16 +87,17 @@ def test_criterion_2_q_matrix_tree_family():
     instances = graph_tree_instances(5)
     ok = len(instances) > 100
     for g, t in instances:
-        rep = q_matrix_tree(g, t)
-        _, det_norm = rep.det_q0.normalize_unit()
-        ok &= det_norm == rep.enum_poly == rep.cut_det
+        _, det_q0 = q_matrix_tree(g, t)
+        _, det_norm = det_q0.normalize_unit()
+        cut_det = normalized_det(cut_qlattice(build_bipartite(g, t, force=True)))
+        ok &= det_norm == matrix_tree_enum_oracle(g, t) == cut_det
 
     k4 = OrientedMultigraph(4, [(1, 1, 2), (2, 1, 3), (3, 1, 4),
                                 (4, 2, 3), (5, 2, 4), (6, 3, 4)])
-    ok &= q_matrix_tree(k4, SpanningTree({1, 2, 3})).det_q0 == \
+    ok &= q_matrix_tree(k4, SpanningTree({1, 2, 3}))[1] == \
         L((0, 1), (2, 6), (4, 9))
     tri = OrientedMultigraph(3, [(1, 1, 2), (2, 2, 3), (3, 1, 3)])
-    ok &= q_matrix_tree(tri, SpanningTree({1, 2})).det_q0 == L((0, 1), (2, 2))
+    ok &= q_matrix_tree(tri, SpanningTree({1, 2}))[1] == L((0, 1), (2, 2))
 
     elapsed = time.monotonic() - start
     ok &= elapsed < 60.0
@@ -215,12 +217,13 @@ def test_criterion_7_rigidity_and_q2iso():
     # three-way agreement over the full loopless 2-edge-connected family
     instances = [(g, t) for g, t in graph_tree_instances(5, loopless=True)
                  if validate(g, t).ok]
+    records = [q2iso_instance(g, t) for g, t in instances]
     all_false_seen = False
     for a in range(len(instances)):
         for bdx in range(a, len(instances)):
             g1, t1 = instances[a]
             g2, t2 = instances[bdx]
-            rep = verify_q2iso_pair(g1, t1, g2, t2)
+            rep = verify_q2iso_pair(records[a], records[bdx])
             ok &= rep.agree
             if (g1 is g2 and t1 != t2 and not rep.flow_iso
                     and not rep.two_iso and not rep.cut_iso):

@@ -63,6 +63,12 @@ def test_det_command(files, capsys):
     assert capsys.readouterr().out == "1 + 2*q^2\n"
     assert main(["det", "--flow", files["triangle"]]) == 0
     assert capsys.readouterr().out == "1 + 2*q^2\n"
+    # the determinant is already normalized, so --normalize prints the same
+    for side in ("--flow", "--cut"):
+        assert main(["det", side, files["theta"]]) == 0
+        plain = capsys.readouterr().out
+        assert main(["det", side, "--normalize", files["theta"]]) == 0
+        assert capsys.readouterr().out == plain
 
 
 def test_det_json(files, capsys):
@@ -382,3 +388,69 @@ def test_unexpected_failure_exits_3_without_traceback(files, capsys, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: internal failure ({type(exc).__name__}): {exc}\n"
+
+
+def _complete_graph_file(tmp_path, n):
+    """K_n with the star at vertex 1 as its tree."""
+    from qlat.fileio import emit_graph
+    from qlat.graphs import OrientedMultigraph, SpanningTree
+
+    edges = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    g = OrientedMultigraph(n, [(i, a, b) for i, (a, b) in enumerate(edges, start=1)])
+    t = SpanningTree(i for i, (a, _) in enumerate(edges, start=1) if a == 1)
+    path = tmp_path / f"k{n}.graph"
+    path.write_text(emit_graph(g, t, f"k{n}"))
+    return str(path)
+
+
+def test_matrix_tree_runs_no_oracle(files, capsys, monkeypatch, tmp_path):
+    """matrix-tree prints det Q0 without enumerating a tree or taking the
+    cut-lattice determinant; the coefficients of K_n sum to Cayley's n^(n-2)."""
+    import qlat.invariants
+
+    def fail(*args):
+        raise AssertionError("matrix-tree ran an oracle")
+
+    monkeypatch.setattr(qlat.invariants, "tree_overlap_counts", fail)
+    monkeypatch.setattr(qlat.invariants, "normalized_det", fail)
+    assert main(["matrix-tree", files["triangle"]]) == 0
+    assert capsys.readouterr().out == "1 + 2*q^2\n"
+    for n in (10, 20):
+        assert main(["--format", "json", "matrix-tree", _complete_graph_file(tmp_path, n)]) == 0
+        poly = json.loads(capsys.readouterr().out)
+        assert sum(poly["coeffs"]) == n ** (n - 2), n
+
+
+def test_matrix_tree_k10_fits_in_one_gib(tmp_path):
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-m", "qlat", "matrix-tree",
+                           _complete_graph_file(tmp_path, 10)],
+                          capture_output=True, text=True, env=env, preexec_fn=cap,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("1 + ")
+
+
+def test_family_pair_sweep_builds_each_record_once(monkeypatch):
+    """One q-flow lattice per eligible instance, and still every pair."""
+    import qlat.cli
+    import qlat.invariants
+    from qlat.families import graph_tree_instances
+
+    built = []
+    real = qlat.invariants.flow_qlattice
+    monkeypatch.setattr(qlat.invariants, "flow_qlattice", lambda b: built.append(b) or real(b))
+    instances = graph_tree_instances(4)
+    pairs, disagreements = qlat.cli._family_pair_checks(instances)
+    e = len(built)
+    assert 0 < e < len(instances)
+    assert pairs == e * (e + 1) // 2 and disagreements == 0

@@ -8,9 +8,10 @@ from qlat.families import graph_tree_instances
 from qlat.graphs import OrientedMultigraph, SpanningTree, enumerate_spanning_trees
 from qlat.invariants import (cut_basis_change, flow_cut_duality_ok, instance_checks,
                              koszul_identity_ok, matrix_tree_enum_oracle,
-                             q_incidence, q_matrix_tree, simples_match_inverse,
-                             two_iso_search, verify_glue, verify_q2iso_pair)
-from qlat.lattices import cut_qlattice, decide_iso, flow_qlattice
+                             q2iso_instance, q_incidence, q_matrix_tree,
+                             simples_match_inverse, two_iso_search, verify_glue,
+                             verify_q2iso_pair)
+from qlat.lattices import cut_qlattice, decide_iso, flow_qlattice, normalized_det
 from qlat.laurent import LaurentPoly
 from support import find_flow_cut_split_pair, random_signed_bipartite, switch_vertex
 
@@ -31,6 +32,18 @@ def k4_star():
     return (OrientedMultigraph(4, [(1, 1, 2), (2, 1, 3), (3, 1, 4),
                                    (4, 2, 3), (5, 2, 4), (6, 3, 4)]),
             SpanningTree({1, 2, 3}))
+
+
+def matrix_tree_agrees(g, t):
+    """det Q0, normalized, equals the enumeration and cut-lattice oracles."""
+    _, det_q0 = q_matrix_tree(g, t)
+    _, det_norm = det_q0.normalize_unit()
+    cut_det = normalized_det(cut_qlattice(build_bipartite(g, t, force=True)))
+    return det_norm == matrix_tree_enum_oracle(g, t) == cut_det
+
+
+def q2iso_pair(g1, t1, g2, t2):
+    return verify_q2iso_pair(q2iso_instance(g1, t1), q2iso_instance(g2, t2))
 
 
 def test_q_incidence_triangle():
@@ -60,20 +73,20 @@ def test_q_incidence_rows_sum_to_zero():
 
 def test_matrix_tree_triangle():
     g, t = triangle()
-    rep = q_matrix_tree(g, t)
-    assert rep.q0.entries == ((L((0, 1), (2, 1)), -LaurentPoly.one()),
-                              (-LaurentPoly.one(), LaurentPoly.from_int(2)))
-    assert rep.det_q0 == L((0, 1), (2, 2))
-    assert rep.enum_poly == L((0, 1), (2, 2))
-    assert rep.cut_det == L((0, 1), (2, 2))
-    assert rep.ok
+    q0, det_q0 = q_matrix_tree(g, t)
+    assert q0.entries == ((L((0, 1), (2, 1)), -LaurentPoly.one()),
+                          (-LaurentPoly.one(), LaurentPoly.from_int(2)))
+    assert det_q0 == L((0, 1), (2, 2))
+    assert matrix_tree_enum_oracle(g, t) == L((0, 1), (2, 2))
+    assert normalized_det(cut_qlattice(build_bipartite(g, t))) == L((0, 1), (2, 2))
+    assert matrix_tree_agrees(g, t)
 
 
 def test_matrix_tree_k4_star():
     g, t = k4_star()
-    rep = q_matrix_tree(g, t)
-    assert rep.det_q0 == L((0, 1), (2, 6), (4, 9))
-    assert rep.ok
+    _, det_q0 = q_matrix_tree(g, t)
+    assert det_q0 == L((0, 1), (2, 6), (4, 9))
+    assert matrix_tree_agrees(g, t)
 
 
 def test_matrix_tree_k5_star():
@@ -89,18 +102,18 @@ def test_matrix_tree_k5_star():
             edges.append((eid, a, bb))
     k5 = OrientedMultigraph(5, edges)
     star = SpanningTree({e for e, a, bb in edges if a == 1})
-    rep = q_matrix_tree(k5, star)
+    _, det_q0 = q_matrix_tree(k5, star)
     expected = L((0, 1), (2, 12), (4, 48), (6, 64))
-    assert rep.det_q0 == expected
-    assert rep.enum_poly == expected
-    assert rep.ok
+    assert det_q0 == expected
+    assert matrix_tree_enum_oracle(k5, star) == expected
+    assert matrix_tree_agrees(k5, star)
     assert sum(c for _, c in expected.terms()) == 125
 
 
 def test_matrix_tree_tree_graph():
     single = OrientedMultigraph(1, [])
-    rep = q_matrix_tree(single, SpanningTree(set()))
-    assert rep.det_q0 == LaurentPoly.one() and rep.ok
+    _, det_q0 = q_matrix_tree(single, SpanningTree(set()))
+    assert det_q0 == LaurentPoly.one() and matrix_tree_agrees(single, SpanningTree(set()))
 
 
 def test_enum_oracle_examples():
@@ -112,8 +125,7 @@ def test_enum_oracle_examples():
 
 def test_matrix_tree_family_three_way_agreement():
     for g, t in graph_tree_instances(5):
-        rep = q_matrix_tree(g, t)
-        assert rep.ok, (g, t)
+        assert matrix_tree_agrees(g, t), (g, t)
 
 
 def test_q_incidence_rank_and_minor_facts():
@@ -155,15 +167,15 @@ def test_cut_basis_change_examples():
     g, t = triangle()
     tm = cut_basis_change(g, t)
     assert tm.entries == ((1, 1), (0, 1))
-    rep = q_matrix_tree(g, t)
-    assert (tm.transpose() * rep.q0 * tm).entries == \
+    q0, _ = q_matrix_tree(g, t)
+    assert (tm.transpose() * q0 * tm).entries == \
         cut_qlattice(build_bipartite(g, t)).gram.entries
     # a tree graph: T^t Q0 T is the identity cut Gram
     path = OrientedMultigraph(3, [(1, 1, 2), (2, 2, 3)])
     pt = SpanningTree({1, 2})
     tm = cut_basis_change(path, pt)
-    rep = q_matrix_tree(path, pt)
-    prod = tm.transpose() * rep.q0 * tm
+    q0, _ = q_matrix_tree(path, pt)
+    prod = tm.transpose() * q0 * tm
     assert prod.entries == cut_qlattice(build_bipartite(path, pt, force=True)).gram.entries
 
 
@@ -173,8 +185,8 @@ def test_cut_basis_change_one_by_one():
     t = SpanningTree({1})
     tm = cut_basis_change(g, t)
     assert tm.entries == ((1,),)
-    rep = q_matrix_tree(g, t)
-    assert (tm.transpose() * rep.q0 * tm).entries == \
+    q0, _ = q_matrix_tree(g, t)
+    assert (tm.transpose() * q0 * tm).entries == \
         cut_qlattice(build_bipartite(g, t)).gram.entries
 
 
@@ -183,9 +195,9 @@ def test_cut_basis_change_family():
         if g.vertex_count < 2:
             continue
         tm = cut_basis_change(g, t)
-        rep = q_matrix_tree(g, t)
+        q0, _ = q_matrix_tree(g, t)
         b = build_bipartite(g, t, force=True)
-        assert (tm.transpose() * rep.q0 * tm).entries == cut_qlattice(b).gram.entries
+        assert (tm.transpose() * q0 * tm).entries == cut_qlattice(b).gram.entries
 
 
 def test_verify_glue_examples():
@@ -234,28 +246,27 @@ def test_two_iso_witness_preserves_cycle_space():
 
 def test_q2iso_pair_examples():
     g, t = triangle()
-    rep = verify_q2iso_pair(g, t, g, SpanningTree({2, 3}))
+    rep = q2iso_pair(g, t, g, SpanningTree({2, 3}))
     assert rep.agree and rep.flow_iso and rep.two_iso and rep.cut_iso
     sq = OrientedMultigraph(4, [(1, 1, 2), (2, 2, 3), (3, 3, 4), (4, 1, 4)])
-    rep = verify_q2iso_pair(g, t, sq, SpanningTree({1, 2, 3}))
+    rep = q2iso_pair(g, t, sq, SpanningTree({1, 2, 3}))
     assert rep.agree and not rep.flow_iso
 
 
 def test_q2iso_same_graph_inequivalent_trees_all_false():
     tp = OrientedMultigraph(3, [(1, 1, 2), (2, 2, 3), (3, 1, 3), (4, 1, 3)])
-    rep = verify_q2iso_pair(tp, SpanningTree({1, 2}), tp, SpanningTree({1, 3}))
+    rep = q2iso_pair(tp, SpanningTree({1, 2}), tp, SpanningTree({1, 3}))
     assert rep.agree
     assert not rep.flow_iso and not rep.two_iso and not rep.cut_iso
 
 
 def test_q2iso_rejects_loops_and_bridges():
     loopg = OrientedMultigraph(2, [(1, 1, 2), (2, 1, 2), (3, 1, 1)])
-    g, t = triangle()
-    with pytest.raises(ValueError):
-        verify_q2iso_pair(loopg, SpanningTree({1}), loopg, SpanningTree({1}))
+    with pytest.raises(ValueError, match="loop"):
+        q2iso_instance(loopg, SpanningTree({1}))
     bridge = OrientedMultigraph(2, [(1, 1, 2)])
-    with pytest.raises(ValueError):
-        verify_q2iso_pair(bridge, SpanningTree({1}), g, t)
+    with pytest.raises(ValueError, match="bridge"):
+        q2iso_instance(bridge, SpanningTree({1}))
 
 
 def test_instance_checks_bundle():
@@ -287,7 +298,7 @@ def test_q2iso_agreement_across_reorientations():
         from qlat.graphs import validate
         if not validate(g, t).ok:
             continue
-        rep = verify_q2iso_pair(g, t, g2, t)
+        rep = q2iso_pair(g, t, g2, t)
         assert rep.agree and rep.flow_iso and rep.cut_iso and rep.two_iso
 
 
@@ -356,3 +367,44 @@ def test_planted_resolution_mutant_fails_the_checks(monkeypatch):
         for fn in caches:
             fn.cache_clear()
     assert simples_match_inverse(tri) and verify_glue(tri).orthogonal
+
+
+def test_q2iso_witnesses_are_pinned():
+    """The flow witness, two-iso mapping and cut witness of every family-5
+    pair, in sweep order, hash to a pinned sha256 prefix; the family hashes
+    pin only the pair count and the verdict."""
+    import hashlib
+    from qlat.graphs import validate
+    eligible = [q2iso_instance(g, t) for g, t in graph_tree_instances(5, loopless=True)
+                if validate(g, t).ok]
+
+    def show(w):
+        return "none" if w is None else f"{list(w.perm)}{list(w.signs)}"
+
+    digest = hashlib.sha256()
+    for a in range(len(eligible)):
+        for bdx in range(a, len(eligible)):
+            rep = verify_q2iso_pair(eligible[a], eligible[bdx])
+            mapping = "none" if rep.two_iso_witness is None else list(rep.two_iso_witness)
+            digest.update(f"{show(rep.flow_witness)}|{mapping}|{show(rep.cut_witness)}\n".encode())
+    assert digest.hexdigest().startswith("c74256f9241b5051"), digest.hexdigest()
+
+
+def test_q2iso_pair_reads_only_its_records(monkeypatch):
+    """Comparing two records validates and builds nothing; the records are
+    built once per instance, and only the constructor validates."""
+    from qlat import graphs, invariants
+    g, t = triangle()
+    x, y = q2iso_instance(g, t), q2iso_instance(g, SpanningTree({2, 3}))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("verify_q2iso_pair rebuilt an instance")
+
+    for mod, name in ((graphs, "validate"), (invariants, "build_bipartite"),
+                      (invariants, "flow_qlattice"), (invariants, "cut_qlattice"),
+                      (invariants, "fundamental_cycle")):
+        monkeypatch.setattr(mod, name, fail)
+    rep = verify_q2iso_pair(x, y)
+    assert rep.agree and rep.flow_iso and rep.two_iso and rep.cut_iso
+    monkeypatch.undo()
+    assert rep.two_iso_witness == two_iso_search(g, t, g, SpanningTree({2, 3})) == (2, 3, 1)
