@@ -296,37 +296,57 @@ def fundamental_cut(g, t, e):
 
 
 def enumerate_spanning_trees(g):
-    """All spanning trees, by recursive include/exclude over the edge list.
+    """All spanning trees, by depth-first include/exclude over the edge list.
 
-    Including an edge contracts its endpoints (union-find); excluding it
+    Including an edge joins its endpoints' components; excluding it
     deletes it.  Partial selections are pruned as soon as the remaining
-    edges cannot connect the remaining components.
+    edges cannot connect the remaining components.  The search keeps its
+    own stack, so its depth is not bounded by the recursion limit, and
+    explores the include branch first.  The union-find runs without path
+    compression (union by size instead), so leaving a branch undoes its
+    union in O(1).
     """
     if not is_connected(g):
         raise ValueError("graph is not connected")
     n = g.vertex_count
     cand = g.non_loop_edges()
-    need_total = n - 1
-    trees = []
-
-    def rec(idx, parent, chosen):
-        need = need_total - len(chosen)
+    parent = list(range(n + 1))
+    size = [1] * (n + 1)
+    chosen, joins, trees = [], [], []
+    stack = [0]  # i: choose among cand[i:]; None: undo the latest union
+    while stack:
+        idx = stack.pop()
+        if idx is None:
+            chosen.pop()
+            ra, rb = joins.pop()
+            parent[ra] = ra
+            size[rb] -= size[ra]
+            continue
+        need = n - 1 - len(chosen)
         if need == 0:
             trees.append(SpanningTree(chosen))
-            return
+            continue
         if len(cand) - idx < need:
-            return
-        eid = cand[idx]
-        _, a, b = g.edge(eid)
-        ra, rb = _find(parent, a), _find(parent, b)
+            continue
+        _, a, b = g.edge(cand[idx])
+        ra, rb = _root(parent, a), _root(parent, b)
+        stack.append(idx + 1)  # exclude cand[idx], once the include branch is done
         if ra != rb:
-            child = list(parent)
-            child[ra] = rb
-            rec(idx + 1, child, chosen + [eid])
-        rec(idx + 1, parent, chosen)
-
-    rec(0, list(range(n + 1)), [])
+            if size[ra] > size[rb]:
+                ra, rb = rb, ra
+            parent[ra] = rb
+            size[rb] += size[ra]
+            chosen.append(cand[idx])
+            joins.append((ra, rb))
+            stack += (None, idx + 1)
     return trees
+
+
+def _root(parent, x):
+    """Union-find root of x, leaving the links as they are."""
+    while parent[x] != x:
+        x = parent[x]
+    return x
 
 
 def tree_overlap_counts(g, t):

@@ -3,9 +3,11 @@
 A q-lattice is stored as its integer data: an exponent k != 0 and an
 integer symmetric S, with labeled basis; the Laurent Gram is derived.
 Such a Gram is never degenerate, because det(I + y S) is a polynomial in
-y with constant term 1.  The cut and flow lattices of a signed bipartite
-graph have k = 2 and S = C - I, with C the classical integer Gram of the
-fundamental cycles (flow) or cuts (cut) v_i:
+y with constant term 1; normalized_det reads its coefficients off S with
+the integer kernel matrices.det_one_plus_xs and never forms the Laurent
+Gram.  The cut and flow lattices of a signed bipartite graph have k = 2
+and S = C - I, with C the classical integer Gram of the fundamental
+cycles (flow) or cuts (cut) v_i:
 
     diag 1 + (|v_i|^2 - 1) q^2,   off-diag <v_i, v_j> q^2
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from .algebra import k0_gram, k0_gram_inverse
 from .bipartite import classical_gram
 from .laurent import LaurentPoly
-from .matrices import QMatrix, ring_bar, ring_one, ring_zero
+from .matrices import QMatrix, det_one_plus_xs, ring_bar, ring_one, ring_zero
 
 
 class QLattice:
@@ -35,7 +37,7 @@ class QLattice:
     (in q^-1 when k < 0) is never zero.
     """
 
-    __slots__ = ("k", "s", "basis_labels", "_gram")
+    __slots__ = ("k", "s", "basis_labels", "_gram", "_det")
 
     def __init__(self, k, s, basis_labels):
         s = tuple(tuple(row) for row in s)
@@ -127,11 +129,21 @@ def cut_gram_from_algebra(b):
 
 
 def normalized_det(lat):
-    """Canonical representative of det(Gram) modulo the units +-q^k."""
-    if lat.rank == 0:
-        return LaurentPoly.one()
-    _, n = lat.gram.det().normalize_unit()
-    return n
+    """Canonical representative of det(Gram) modulo the units +-q^k.
+
+    det(I + q^k S) = sum_i e_i q^(k i) with e_i = det_one_plus_xs(S)[i];
+    it is computed on first use and held on the lattice, which is
+    immutable, like the Gram.
+    """
+    if not hasattr(lat, "_det"):
+        if lat.k is None:  # S = 0, rank 0 included
+            det = LaurentPoly.one()
+        else:
+            e = det_one_plus_xs(lat.s)
+            full = LaurentPoly.from_terms((lat.k * i, c) for i, c in enumerate(e))
+            _, det = full.normalize_unit()
+        object.__setattr__(lat, "_det", det)
+    return lat._det
 
 
 def norm_shape(lat, coords, k=2):

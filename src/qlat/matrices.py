@@ -1,4 +1,5 @@
-"""Labeled matrices over the exact coefficient rings.
+"""Labeled matrices over the exact coefficient rings, and the integer
+kernel behind every lattice determinant.
 
 Entries are homogeneous per matrix: Python ints, LaurentPoly, QTElement or
 QFraction.  Determinants use Bareiss fraction-free elimination after
@@ -6,9 +7,17 @@ clearing q-denominators row by row (tracking the extracted unit), with a
 cofactor fallback for very small matrices; matrices over the t-ring are
 split at t = 1 and t = -1 and recombined, since that ring has zero
 divisors and admits no fraction-free pivoting.
+
+det_one_plus_xs(S) gives the coefficients of det(I + x S) for a symmetric
+integer S, by Hessenberg reduction modulo primes and the Chinese
+remainder theorem; a q-lattice's determinant is that polynomial at
+x = q^k, so no Laurent arithmetic is involved.
 """
 
 from __future__ import annotations
+
+from math import prod
+from operator import mul
 
 from .laurent import LaurentPoly, QTElement, QFraction
 
@@ -389,3 +398,97 @@ def _half(p):
     if any(c % 2 for c in p.coeffs):
         raise ArithmeticError("t-ring determinant recombination is not integral")
     return LaurentPoly(p.min_deg, tuple(c // 2 for c in p.coeffs))
+
+
+# -- det(I + x S) over the integers --------------------------------------
+
+# The 48 largest primes below 2^81.  Below 3.3e24 > 2^81, Miller-Rabin with
+# the 13 prime bases 2..41 proves primality (J. Sorenson and J. Webster,
+# Math. Comp. 86 (2017) 985-1003); tests/test_matrices.py runs it on each.
+# Python ints of this size cost little more per operation than 62-bit ones,
+# so fewer, larger primes are faster.
+_PRIMES = tuple((1 << 81) - d for d in (
+    51, 63, 163, 205, 333, 349, 429, 433, 481, 553, 625, 661, 685, 795, 885, 909,
+    933, 1033, 1053, 1083, 1155, 1221, 1255, 1269, 1341, 1371, 1389, 1449, 1501,
+    1533, 1593, 1621, 1749, 1761, 1783, 1789, 1803, 1815, 1875, 1941, 1959, 1969,
+    1995, 2043, 2061, 2065, 2071, 2173))
+
+
+def det_one_plus_xs(s):
+    """Coefficients [e_0, ..., e_r] of det(I + x S) for a symmetric integer S.
+
+    e_i is the sum of the principal i x i minors of S, so the list is the
+    characteristic polynomial det(t I + S) read from its top coefficient.
+    Each prime costs one Hessenberg reduction and recurrence, O(r^3)
+    (H. Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+    Alg. 2.2.9); the residues are combined by CRT.  The eigenvalues l of S
+    are real, so sum |e_i| <= prod (1 + |l|) <= sqrt(2^r det(I + S^2)), and
+    Hadamard's inequality bounds det(I + S^2) by prod_rows (1 + |row|^2);
+    primes are taken until the modulus exceeds twice that bound.
+    """
+    r = len(s)
+    if any(len(row) != r for row in s) or any(
+            s[i][j] != s[j][i] for i in range(r) for j in range(i)):
+        raise ValueError("det(I + xS) needs a square symmetric S")
+    bound = 4 << r  # the square of twice the coefficient bound
+    for row in s:
+        bound *= 1 + sum(x * x for x in row)
+    if prod(_PRIMES) ** 2 <= bound:
+        raise ValueError(f"det(I + xS) of rank {r}: coefficient bound too large "
+                         f"for {len(_PRIMES)} CRT primes")
+    primes = iter(_PRIMES)
+    res, mod = [0] * (r + 1), 1
+    while mod * mod <= bound:
+        p = next(primes)
+        inv = pow(mod, -1, p)
+        res = [a + mod * ((e - a) * inv % p)
+               for a, e in zip(res, reversed(_charpoly_mod(s, p)))]
+        mod *= p
+    return [a - mod if 2 * a > mod else a for a in res]
+
+
+def _charpoly_mod(s, p):
+    """det(t I + S) mod p, coefficients from t^0 up.
+
+    -S is brought to upper Hessenberg form H by similarity, then
+    p_0 = 1, p_m = (t - h_mm) p_(m-1) - sum_(i<m) h_im h_(i+1,i)..h_(m,m-1) p_(i-1).
+    """
+    n = len(s)
+    h = [[-x % p for x in row] for row in s]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        # rows i > m lose u_i times row m, then column m gains sum_i u_i column i
+        # (the inverse column operations, which commute with each other)
+        tail = h[m][m - 1:]
+        inv = pow(tail[0], -1, p)
+        cols, us = [], []
+        for i in range(m + 1, n):
+            ri = h[i]
+            if ri[m - 1]:
+                u = ri[m - 1] * inv % p
+                ri[m - 1:] = [(a - u * b) % p for a, b in zip(ri[m - 1:], tail)]
+                cols.append(i)
+                us.append(u)
+        if cols:
+            for row in h:
+                row[m] = (row[m] + sum(map(mul, us, map(row.__getitem__, cols)))) % p
+    polys = [[1]]
+    for m in range(n):
+        new = [0] + polys[m]
+        new[:m + 1] = [a - h[m][m] * c for a, c in zip(new, polys[m])]
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            f = h[i][m] * t % p
+            if f:
+                new[:i + 1] = [a - f * c for a, c in zip(new, polys[i])]
+        polys.append([c % p for c in new])
+    return polys[n]

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -124,15 +125,21 @@ def test_two_iso_command(files, capsys):
     assert capsys.readouterr().out == "none\n"
 
 
-def test_two_iso_long_cycle_does_not_recurse(capsys, tmp_path):
-    # one search step per edge: 1,100 edges is past the default recursion limit
-    m = 1100
+def _cycle_file(tmp_path, m):
+    """The m-cycle, its tree all edges but the last."""
     lines = ["graph cycle", f"vertices {m}"]
     lines += [f"edge {e} {e} {e + 1} tree" for e in range(1, m)]
     lines.append(f"edge {m} 1 {m}")
     path = tmp_path / "cycle.graph"
     path.write_text("\n".join(lines) + "\n")
-    assert main(["two-iso", str(path), str(path)]) == 0
+    return str(path)
+
+
+def test_two_iso_long_cycle_does_not_recurse(capsys, tmp_path):
+    # one search step per edge: 1,100 edges is past the default recursion limit
+    m = 1100
+    path = _cycle_file(tmp_path, m)
+    assert main(["two-iso", path, path]) == 0
     out = capsys.readouterr().out
     assert out == "".join(f"{e} -> {e}\n" for e in range(1, m + 1))
 
@@ -454,3 +461,69 @@ def test_family_pair_sweep_builds_each_record_once(monkeypatch):
     e = len(built)
     assert 0 < e < len(instances)
     assert pairs == e * (e + 1) // 2 and disagreements == 0
+
+
+def _seeded_complete_graph_file(tmp_path, n, seed):
+    """K_n with seeded edge orientations and a seeded random recursive tree."""
+    from qlat.fileio import emit_graph
+    from qlat.graphs import OrientedMultigraph, SpanningTree
+
+    rng = random.Random(seed)
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    edges = [(i, *(p if rng.random() < 0.5 else p[::-1])) for i, p in enumerate(pairs, 1)]
+    order = rng.sample(range(1, n + 1), n)
+    joins = {tuple(sorted((v, order[rng.randrange(i)]))) for i, v in enumerate(order) if i}
+    tree = SpanningTree(i for i, p in enumerate(pairs, 1) if p in joins)
+    path = tmp_path / f"k{n}-seed{seed}.graph"
+    path.write_text(emit_graph(OrientedMultigraph(n, edges), tree, f"k{n}"))
+    return str(path)
+
+
+# det(I + q^2 S) of the q-flow lattice of _seeded_complete_graph_file(_, 12, 5),
+# taken by Laurent Bareiss before the integer kernel existed
+K12_SEED5_FLOW_DET = (
+    "1 + 184*q^2 + 12745*q^4 + 448530*q^6 + 9021858*q^8 + 109802472*q^10 + "
+    "830450298*q^12 + 3929600460*q^14 + 11492450301*q^16 + "
+    "19937268944*q^18 + 18566952989*q^20 + 7041355442*q^22")
+
+
+def test_det_flow_runs_no_laurent_bareiss(tmp_path, capsys, monkeypatch):
+    import qlat.matrices
+
+    def fail(*args):
+        raise AssertionError("a lattice determinant went through Laurent Bareiss")
+
+    monkeypatch.setattr(qlat.matrices, "_det_bareiss_laurent", fail)
+    path = _seeded_complete_graph_file(tmp_path, 12, 5)
+    assert main(["det", "--flow", path]) == 0
+    assert capsys.readouterr().out == K12_SEED5_FLOW_DET + "\n"
+    assert main(["--format", "json", "det", "--cut", path]) == 0
+    assert sum(json.loads(capsys.readouterr().out)["coeffs"]) == 12 ** 10
+
+
+def test_matrix_tree_oracle_on_long_cycle(capsys, tmp_path):
+    # the tree enumeration keeps its own stack: 1,100 edges is past the
+    # default recursion limit
+    m = 1100
+    assert main(["matrix-tree", "--oracle", _cycle_file(tmp_path, m)]) == 0
+    assert capsys.readouterr().out == f"1 + {m - 1}*q^2\n"
+
+
+def test_family_pair_sweep_takes_each_det_once(monkeypatch):
+    """decide_iso reads each lattice's determinant from the lattice: at most
+    one kernel call per lattice, two per eligible instance."""
+    import qlat.cli
+    import qlat.invariants
+    import qlat.lattices
+    from qlat.families import graph_tree_instances
+
+    built, calls = [], []
+    real_flow, real_kernel = qlat.invariants.flow_qlattice, qlat.lattices.det_one_plus_xs
+    monkeypatch.setattr(qlat.invariants, "flow_qlattice",
+                        lambda b: built.append(b) or real_flow(b))
+    monkeypatch.setattr(qlat.lattices, "det_one_plus_xs",
+                        lambda s: calls.append(s) or real_kernel(s))
+    pairs, disagreements = qlat.cli._family_pair_checks(graph_tree_instances(5))
+    e = len(built)
+    assert pairs == e * (e + 1) // 2 and disagreements == 0
+    assert 0 < len(calls) <= 2 * e

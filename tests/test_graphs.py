@@ -84,6 +84,38 @@ def test_enumerate_spanning_trees_counts():
         enumerate_spanning_trees(OrientedMultigraph(2, []))
 
 
+def recursive_spanning_trees(g):
+    """The recursive include/exclude search: the order oracle."""
+    from qlat.graphs import _find
+
+    cand = g.non_loop_edges()
+    trees = []
+
+    def rec(idx, parent, chosen):
+        need = g.vertex_count - 1 - len(chosen)
+        if need == 0:
+            trees.append(SpanningTree(chosen))
+            return
+        if len(cand) - idx < need:
+            return
+        _, a, b = g.edge(cand[idx])
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra != rb:
+            child = list(parent)
+            child[ra] = rb
+            rec(idx + 1, child, chosen + [cand[idx]])
+        rec(idx + 1, parent, chosen)
+
+    rec(0, list(range(g.vertex_count + 1)), [])
+    return trees
+
+
+def test_enumerate_spanning_trees_order_matches_recursion():
+    graphs = connected_bridgeless_multigraphs(5) + [triangle(), theta(), k4_star()[0]]
+    for g in graphs:
+        assert enumerate_spanning_trees(g) == recursive_spanning_trees(g)
+
+
 def test_tree_overlap_counts_examples():
     assert tree_overlap_counts(triangle(), SpanningTree({1, 2})) == (1, 2, 0)
     g, t = k4_star()

@@ -79,6 +79,17 @@ def test_normalized_det_examples():
     assert normalized_det(empty) == one and empty.gram.entries == ()
 
 
+def test_normalized_det_matches_laurent_bareiss_on_family():
+    """The integer kernel against the Laurent Gram's Bareiss determinant on
+    every family-5 flow and cut lattice."""
+    lattices = [make(build_bipartite(g, t, force=True))
+                for g, t in graph_tree_instances(5) for make in (flow_qlattice, cut_qlattice)]
+    assert len(lattices) == 272
+    for lat in lattices:
+        want = lat.gram.det().normalize_unit()[1] if lat.rank else one
+        assert normalized_det(lat) == want
+
+
 def test_change_basis_examples():
     ft = flow_qlattice(theta_b())
     assert change_basis(ft, SignedPermutation((0, 1), (1, 1))) == ft

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qlat.matrices
 from qlat.laurent import LaurentPoly, QFraction, QTElement
-from qlat.matrices import QMatrix, _det_bareiss_laurent, _det_cofactor
+from qlat.matrices import QMatrix, _det_bareiss_laurent, _det_cofactor, det_one_plus_xs
 
 
 def L(*terms):
@@ -199,3 +201,114 @@ def test_dimension_and_mode_errors():
         a.mul_vector((one,))
     with pytest.raises(ValueError):
         QMatrix([[one, zero], [one]])
+
+
+# -- det(I + x S): the integer kernel against Laurent Bareiss ----------------
+
+
+def laurent_det_one_plus_qks(s, k):
+    """det(I + q^k S) by Bareiss over Z[q,q^-1]: the oracle."""
+    if not s:
+        return one
+    return QMatrix([[LaurentPoly.q_power(k, x) + (i == j) for j, x in enumerate(row)]
+                    for i, row in enumerate(s)]).det()
+
+
+def kernel_det(s, k):
+    return LaurentPoly.from_terms((k * i, c) for i, c in enumerate(det_one_plus_xs(s)))
+
+
+def random_symmetric(rng, r, lo, hi):
+    s = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1):
+            s[i][j] = s[j][i] = rng.randint(lo, hi)
+    return s
+
+
+def test_det_one_plus_xs_examples():
+    assert det_one_plus_xs([]) == [1]
+    assert det_one_plus_xs([[5]]) == [1, 5]
+    assert det_one_plus_xs([[0, 0], [0, 0]]) == [1, 0, 0]
+    # e_1 = trace, e_2 = det: 1 + 4x + (2 - 9)x^2
+    assert det_one_plus_xs([[1, 3], [3, 2]]) == [1, 3, -7]
+    with pytest.raises(ValueError, match="symmetric"):
+        det_one_plus_xs([[0, 1], [2, 0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        det_one_plus_xs([[0, 1]])
+
+
+def test_det_one_plus_xs_matches_laurent_bareiss_randomized():
+    rng = random.Random(401)
+    cases = [([], 2), ([[0]], 1), ([[-3]], -2), ([[7]], 5)]
+    for _ in range(400):
+        cases.append((random_symmetric(rng, rng.randint(1, 9), -3, 3),
+                      rng.choice((-3, -2, -1, 1, 2, 5))))
+    for s, k in cases:
+        assert kernel_det(s, k) == laurent_det_one_plus_qks(s, k), (s, k)
+
+
+def test_det_one_plus_xs_large_entries_take_several_primes(monkeypatch):
+    rng = random.Random(12)
+    s = random_symmetric(rng, 12, -10 ** 9, 10 ** 9)
+    primes = []
+    real = qlat.matrices._charpoly_mod
+    monkeypatch.setattr(qlat.matrices, "_charpoly_mod", lambda s, p: primes.append(p) or real(s, p))
+    e = det_one_plus_xs(s)
+    assert len(primes) >= 3
+    assert e[1] == sum(s[i][i] for i in range(12)) and e[12] == QMatrix(s).det()
+    assert kernel_det(s, 1) == laurent_det_one_plus_qks(s, 1)
+
+
+def test_det_one_plus_xs_reports_an_exhausted_prime_table(monkeypatch):
+    monkeypatch.setattr(qlat.matrices, "_PRIMES", qlat.matrices._PRIMES[:1])
+    assert det_one_plus_xs([[3, 1], [1, 2]]) == [1, 5, 5]
+    with pytest.raises(ValueError, match="too large"):
+        det_one_plus_xs(random_symmetric(random.Random(3), 12, -10 ** 9, 10 ** 9))
+
+
+def is_prime_below_3e24(n):
+    """Miller-Rabin with the 13 prime bases 2..41: a proof of primality for
+    n < 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2017)."""
+    assert n < 3317044064679887385961981
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_crt_primes_are_prime():
+    assert is_prime_below_3e24(2417851639229258349412301)  # 2^81 - 51
+    assert not is_prime_below_3e24(2 ** 81 - 1)
+    assert not is_prime_below_3e24(3825123056546413051)  # a strong pseudoprime to bases 2..23
+    primes = qlat.matrices._PRIMES
+    assert len(set(primes)) == len(primes) == 48
+    assert all(is_prime_below_3e24(p) for p in primes)
+
+
+@st.composite
+def symmetric_and_exponent(draw):
+    r = draw(st.integers(0, 7))
+    entries = {(i, j): draw(st.integers(-20, 20)) for i in range(r) for j in range(i + 1)}
+    s = [[entries[max(i, j), min(i, j)] for j in range(r)] for i in range(r)]
+    return s, draw(st.integers(-4, 4).filter(bool))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(symmetric_and_exponent())
+def test_det_one_plus_xs_property(case):
+    s, k = case
+    assert kernel_det(s, k) == laurent_det_one_plus_qks(s, k)
