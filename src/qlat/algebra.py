@@ -19,10 +19,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bipartite import dual
-from .laurent import QTElement
+from .laurent import QTElement, dot
 from .matrices import QMatrix
 
 BASIS_TAGS = ("projective", "simple", "injective", "standard", "costandard")
+
+# Entries kept by each per-graph cache below.  The checks on one input use
+# the graph and its dual, so a handful suffices, and a long run over many
+# inputs holds no more than this many per cache.
+CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ def hom_qtdim(b, i, j):
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def k0_gram(b):
     """Gram matrix of the graded Euler form in the projective basis."""
     order = vertex_order(b)
@@ -166,7 +171,7 @@ def _from_columns(cols, order):
     return QMatrix(list(zip(*cols)), order, order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def k0_gram_inverse(b):
     """G^-1, whose column i is the class of the simple at vertex i.
 
@@ -179,7 +184,7 @@ def k0_gram_inverse(b):
     return _from_columns([simple_in_projectives(b, v).coords for v in order], order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def d_matrix(b):
     """Matrix of the duality involution in the projective basis.
 
@@ -231,12 +236,7 @@ def euler_form(b, x, y):
     """
     xs = to_projective(b, x) if isinstance(x, K0Vector) else tuple(x)
     ys = to_projective(b, y) if isinstance(y, K0Vector) else tuple(y)
-    g = k0_gram(b)
-    mid = g.mul_vector(ys)
-    total = QTElement.zero()
-    for a, m in zip(xs, mid):
-        total = total + a.bar() * m
-    return total
+    return dot([a.bar() for a in xs], k0_gram(b).mul_vector(ys), QTElement.zero())
 
 
 def gram_in_basis(b, tag):
@@ -249,7 +249,7 @@ def gram_in_basis(b, tag):
     return c.star() * k0_gram(b) * c
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def distinguished_classes(b):
     """Projective, simple, injective, standard and costandard classes.
 

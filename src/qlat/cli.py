@@ -27,6 +27,7 @@ from .families import graph_tree_instances
 from .lattices import (SignedPermutation, change_basis, cut_qlattice,
                        decide_iso, flow_qlattice, norm_shape, normalized_det)
 from .laurent import LaurentPoly
+from .matrices import CRTBoundError
 
 
 def _read(path):
@@ -121,10 +122,17 @@ def cmd_gram(args):
 
 def cmd_det(args):
     b, _, _, _ = _load_any(args.file)
-    lat = flow_qlattice(b) if args.flow else cut_qlattice(b)
+    side, other = (flow_qlattice, cut_qlattice) if args.flow else (cut_qlattice, flow_qlattice)
     # det(I + q^k S) with k > 0 has constant term 1, so it is already the
     # normalized representative and --normalize changes nothing.
-    _print(_emit_poly(normalized_det(lat), args.format))
+    try:
+        det = normalized_det(side(b))
+    except CRTBoundError:
+        # S is M^T M on one side and M M^T on the other, and by Sylvester's
+        # identity det(I + x M^T M) = det(I + x M M^T): the other side,
+        # possibly of far smaller rank, has the same determinant
+        det = normalized_det(other(b))
+    _print(_emit_poly(det, args.format))
     return 0
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .algebra import k0_gram, k0_gram_inverse
 from .bipartite import classical_gram
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, dot
 from .matrices import QMatrix, det_one_plus_xs, ring_bar, ring_one, ring_zero
 
 
@@ -76,11 +76,8 @@ class QLattice:
 
     def pairing(self, x, y):
         """<x, y> for coordinate vectors over Z[q,q^-1] (left anti-linear)."""
-        mid = self.gram.mul_vector(tuple(y))
-        total = LaurentPoly.zero()
-        for a, m in zip(x, mid):
-            total = total + ring_bar(a) * m
-        return total
+        return dot([ring_bar(a) for a in x], self.gram.mul_vector(tuple(y)),
+                   LaurentPoly.zero())
 
     def __eq__(self, other):
         if not isinstance(other, QLattice):
@@ -228,24 +225,23 @@ def decide_iso(lat1, lat2):
                 return False
         return True
 
-    def rec(i):
-        if i == n:
-            return True
-        for cand in range(n):
-            if used[cand]:
-                continue
-            for sign in (1, -1):
-                if ok(i, cand, sign):
-                    perm[i] = cand
-                    signs[i] = sign
-                    used[cand] = True
-                    if rec(i + 1):
-                        return True
-                    used[cand] = False
-        perm[i] = None
-        signs[i] = 0
-        return False
-
-    if not rec(0):
+    # Iterative depth-first search over i = 0..n-1; choice 2 * cand + (sign < 0)
+    # orders the candidates.  A dead end at i resumes i - 1 at the choice after
+    # its current one.
+    i, start = 0, 0
+    while 0 <= i < n:
+        for choice in range(start, 2 * n):
+            cand, sign = choice >> 1, -1 if choice & 1 else 1
+            if not used[cand] and ok(i, cand, sign):
+                perm[i], signs[i] = cand, sign
+                used[cand] = True
+                i, start = i + 1, 0
+                break
+        else:
+            i -= 1
+            if i >= 0:
+                used[perm[i]] = False
+                start = 2 * perm[i] + (signs[i] < 0) + 1
+    if i < 0:
         return None
     return SignedPermutation(tuple(perm), tuple(signs))

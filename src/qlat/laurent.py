@@ -4,12 +4,20 @@ fraction field Q(q).
 Laurent polynomials are stored as a minimal degree together with a dense
 coefficient run; the zero polynomial is the empty run with min_deg 0, and
 for nonzero values the first and last stored coefficients are nonzero.
-All coefficients are Python ints, so nothing ever overflows.
+All coefficients are Python ints, so nothing ever overflows.  The
+zero and one of each ring are shared constants.
+
+dot(xs, ys) is the one kernel behind every matrix product, Euler form
+and lattice pairing: it sums x_i y_i into one degree -> coefficient
+table per t-parity and builds a single canonical element at the end.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import chain
 from math import gcd as _int_gcd
+from operator import mul
 
 
 def _strip(min_deg, coeffs):
@@ -42,11 +50,11 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls):
-        return cls(0, ())
+        return _ZERO
 
     @classmethod
     def one(cls):
-        return cls(0, (1,))
+        return _ONE
 
     @classmethod
     def from_int(cls, n):
@@ -115,12 +123,13 @@ class LaurentPoly:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero():
+        if type(other) is not LaurentPoly:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not self.coeffs:
             return other
-        if other.is_zero():
+        if not other.coeffs:
             return self
         lo = min(self.min_deg, other.min_deg)
         hi = max(self.max_deg, other.max_deg)
@@ -149,18 +158,28 @@ class LaurentPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return LaurentPoly.zero()
+        if type(other) is not LaurentPoly:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _ZERO
+        # the end coefficients of both runs are nonzero, so are their
+        # products: the result is canonical without stripping
+        md = self.min_deg + other.min_deg
+        if len(a) == 1:
+            ca = a[0]
+            return _poly(md, tuple([ca * cb for cb in b]))
+        if len(b) == 1:
+            cb = b[0]
+            return _poly(md, tuple([ca * cb for ca in a]))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return LaurentPoly(self.min_deg + other.min_deg, out)
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        return _poly(md, tuple(out))
 
     __rmul__ = __mul__
 
@@ -264,6 +283,23 @@ class LaurentPoly:
         return f"LaurentPoly({body})"
 
 
+_new = object.__new__
+_set_min_deg = LaurentPoly.min_deg.__set__
+_set_coeffs = LaurentPoly.coeffs.__set__
+
+
+def _poly(min_deg, run):
+    """The LaurentPoly of an already canonical (min_deg, run)."""
+    p = _new(LaurentPoly)
+    _set_min_deg(p, min_deg)
+    _set_coeffs(p, run)
+    return p
+
+
+_ZERO = _poly(0, ())
+_ONE = _poly(0, (1,))
+
+
 def _divmod_poly(a, b):
     """Long division of coefficient runs (low degree first) over Z.
 
@@ -358,7 +394,7 @@ class QTElement:
 
     __slots__ = ("even", "odd")
 
-    def __init__(self, even=LaurentPoly.zero(), odd=LaurentPoly.zero()):
+    def __init__(self, even=_ZERO, odd=_ZERO):
         if isinstance(even, int):
             even = LaurentPoly.from_int(even)
         if isinstance(odd, int):
@@ -371,41 +407,42 @@ class QTElement:
 
     @classmethod
     def zero(cls):
-        return cls(LaurentPoly.zero(), LaurentPoly.zero())
+        return _QT_ZERO
 
     @classmethod
     def one(cls):
-        return cls(LaurentPoly.one(), LaurentPoly.zero())
+        return _QT_ONE
 
     @classmethod
     def t(cls):
-        return cls(LaurentPoly.zero(), LaurentPoly.one())
+        return cls(_ZERO, _ONE)
 
     @classmethod
     def monomial(cls, coeff, q_deg, t_deg):
         """coeff * q^q_deg * t^t_deg with t_deg taken mod 2."""
         p = LaurentPoly.q_power(q_deg, coeff)
         if t_deg % 2:
-            return cls(LaurentPoly.zero(), p)
-        return cls(p, LaurentPoly.zero())
+            return cls(_ZERO, p)
+        return cls(p, _ZERO)
 
     @staticmethod
     def _coerce(x):
         if isinstance(x, QTElement):
             return x
         if isinstance(x, LaurentPoly):
-            return QTElement(x, LaurentPoly.zero())
+            return QTElement(x, _ZERO)
         if isinstance(x, int):
-            return QTElement(LaurentPoly.from_int(x), LaurentPoly.zero())
+            return QTElement(LaurentPoly.from_int(x), _ZERO)
         return NotImplemented
 
     def is_zero(self):
         return self.even.is_zero() and self.odd.is_zero()
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not QTElement:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return QTElement(self.even + other.even, self.odd + other.odd)
 
     __radd__ = __add__
@@ -426,11 +463,16 @@ class QTElement:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not QTElement:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         # (a + bt)(c + dt) = (ac + bd) + (ad + bc) t
         a, b, c, d = self.even, self.odd, other.even, other.odd
+        if not b.coeffs:
+            return QTElement(a * c, a * d)
+        if not d.coeffs:
+            return QTElement(a * c, b * c)
         return QTElement(a * c + b * d, a * d + b * c)
 
     __rmul__ = __mul__
@@ -508,6 +550,69 @@ class QTElement:
 
     def __repr__(self):
         return f"QTElement({self.even!r}, {self.odd!r})"
+
+
+_QT_ZERO = QTElement(_ZERO, _ZERO)
+_QT_ONE = QTElement(_ONE, _ZERO)
+
+
+def _parts(x):
+    """(ring level, ((t-parity, min_deg, run), ...)) of the nonzero parts of x.
+
+    The levels order the rings int < LaurentPoly < QTElement; None for any
+    other type.
+    """
+    cls = type(x)
+    if cls is QTElement:
+        e, o = x.even, x.odd
+        parts = ((0, e.min_deg, e.coeffs),) if e.coeffs else ()
+        return 2, parts + ((1, o.min_deg, o.coeffs),) if o.coeffs else parts
+    if cls is LaurentPoly:
+        return 1, ((0, x.min_deg, x.coeffs),) if x.coeffs else ()
+    if cls is int:
+        return 0, ((0, 0, (x,)),) if x else ()
+    return None
+
+
+def _from_table(acc):
+    """The LaurentPoly whose degree -> coefficient table is acc."""
+    degs = [k for k, c in acc.items() if c]
+    if not degs:
+        return _ZERO
+    lo, hi = min(degs), max(degs)
+    return _poly(lo, tuple([acc.get(k, 0) for k in range(lo, hi + 1)]))
+
+
+def dot(xs, ys, start=0):
+    """start + sum of x_i * y_i over two sequences, summed once.
+
+    Serves ints, LaurentPoly and QTElement entries: every product of two
+    nonzero parts is added into one degree -> coefficient table per
+    t-parity, and one canonical element is built at the end.  The result
+    has the ring type of the term-by-term sum: the widest type among
+    start and the operands (int < LaurentPoly < QTElement).  Any other
+    entry type (QFraction) is summed term by term.
+    """
+    level = 0
+    tables = (defaultdict(int), defaultdict(int))
+    for x, y in zip(chain((start,), xs), chain((1,), ys)):
+        px, py = _parts(x), _parts(y)
+        if px is None or py is None:
+            return sum(map(mul, xs, ys), start)
+        if px[0] > level or py[0] > level:
+            level = max(px[0], py[0])
+        for p, mx, rx in px[1]:
+            for r, my, ry in py[1]:
+                acc = tables[p ^ r]
+                for i, a in enumerate(rx, mx + my):
+                    if a:
+                        for k, b in enumerate(ry, i):
+                            acc[k] += a * b
+    if level == 0:
+        return tables[0].get(0, 0)
+    if level == 1:
+        return _from_table(tables[0])
+    return QTElement(_from_table(tables[0]), _from_table(tables[1]))
 
 
 class QFraction:

@@ -2,11 +2,12 @@
 kernel behind every lattice determinant.
 
 Entries are homogeneous per matrix: Python ints, LaurentPoly, QTElement or
-QFraction.  Determinants use Bareiss fraction-free elimination after
-clearing q-denominators row by row (tracking the extracted unit), with a
-cofactor fallback for very small matrices; matrices over the t-ring are
-split at t = 1 and t = -1 and recombined, since that ring has zero
-divisors and admits no fraction-free pivoting.
+QFraction.  Each entry of a product is one laurent.dot.  Determinants use
+Bareiss fraction-free elimination after clearing q-denominators row by
+row (tracking the extracted unit), with a cofactor fallback for very
+small matrices; matrices over the t-ring are split at t = 1 and t = -1
+and recombined, since that ring has zero divisors and admits no
+fraction-free pivoting.
 
 det_one_plus_xs(S) gives the coefficients of det(I + x S) for a symmetric
 integer S, by Hessenberg reduction modulo primes and the Chinese
@@ -19,7 +20,7 @@ from __future__ import annotations
 from math import prod
 from operator import mul
 
-from .laurent import LaurentPoly, QTElement, QFraction
+from .laurent import LaurentPoly, QTElement, QFraction, dot
 
 
 def ring_zero(sample):
@@ -136,32 +137,16 @@ class QMatrix:
         if isinstance(other, QMatrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch")
-            cols = list(zip(*other.entries)) if other.entries else []
-            out = []
-            for row in self.entries:
-                out_row = []
-                for col in cols:
-                    acc = None
-                    for a, b in zip(row, col):
-                        term = a * b
-                        acc = term if acc is None else acc + term
-                    out_row.append(acc)
-                out.append(out_row)
-            return QMatrix(out, self.row_labels, other.col_labels)
+            cols = list(zip(*other.entries)) if other.entries else [()] * other.cols
+            return QMatrix([[dot(row, col) for col in cols] for row in self.entries],
+                           self.row_labels, other.col_labels)
         return self.map(lambda x: x * other)
 
     def mul_vector(self, vec):
         """Matrix times a column vector (a sequence of ring elements)."""
         if self.cols != len(vec):
             raise ValueError("dimension mismatch")
-        out = []
-        for row in self.entries:
-            acc = None
-            for a, b in zip(row, vec):
-                term = a * b
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return tuple(out)
+        return tuple(dot(row, vec) for row in self.entries)
 
     def transpose(self):
         if not self.entries:
@@ -414,6 +399,10 @@ _PRIMES = tuple((1 << 81) - d for d in (
     1995, 2043, 2061, 2065, 2071, 2173))
 
 
+class CRTBoundError(ValueError):
+    """det_one_plus_xs refuses S: its coefficient bound is past the CRT primes."""
+
+
 def det_one_plus_xs(s):
     """Coefficients [e_0, ..., e_r] of det(I + x S) for a symmetric integer S.
 
@@ -434,8 +423,8 @@ def det_one_plus_xs(s):
     for row in s:
         bound *= 1 + sum(x * x for x in row)
     if prod(_PRIMES) ** 2 <= bound:
-        raise ValueError(f"det(I + xS) of rank {r}: coefficient bound too large "
-                         f"for {len(_PRIMES)} CRT primes")
+        raise CRTBoundError(f"det(I + xS) of rank {r}: coefficient bound too large "
+                            f"for {len(_PRIMES)} CRT primes")
     primes = iter(_PRIMES)
     res, mod = [0] * (r + 1), 1
     while mod * mod <= bound:

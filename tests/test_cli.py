@@ -383,6 +383,19 @@ def test_verify_family_5_stdout_is_byte_identical(capsys):
     assert digest.startswith("ec86ca17ab399de7")
 
 
+def test_algebra_caches_stay_bounded_over_a_family(capsys):
+    import qlat.algebra
+
+    caches = [fn for fn in vars(qlat.algebra).values() if hasattr(fn, "cache_info")]
+    assert len(caches) == 4
+    assert main(["verify", "--family", "5"]) == 0
+    capsys.readouterr()
+    for fn in caches:
+        info = fn.cache_info()
+        assert info.maxsize == qlat.algebra.CACHE_SIZE and info.currsize <= info.maxsize
+        assert info.hits > 0
+
+
 @pytest.mark.parametrize("exc", [MemoryError(), RuntimeError("boom")])
 def test_unexpected_failure_exits_3_without_traceback(files, capsys, monkeypatch, exc):
     import qlat.cli
@@ -499,6 +512,14 @@ def test_det_flow_runs_no_laurent_bareiss(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == K12_SEED5_FLOW_DET + "\n"
     assert main(["--format", "json", "det", "--cut", path]) == 0
     assert sum(json.loads(capsys.readouterr().out)["coeffs"]) == 12 ** 10
+
+
+def test_det_cut_past_the_crt_primes_takes_the_flow_side(capsys, tmp_path):
+    # the cut lattice has rank 1,099, past the CRT table's bound; the flow
+    # side has rank 1 and, by Sylvester's identity, the same determinant
+    m = 1100
+    assert main(["det", "--cut", _cycle_file(tmp_path, m)]) == 0
+    assert capsys.readouterr().out == f"1 + {m - 1}*q^2\n"
 
 
 def test_matrix_tree_oracle_on_long_cycle(capsys, tmp_path):

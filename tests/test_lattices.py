@@ -1,5 +1,9 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +219,84 @@ def test_decide_iso_finds_lexicographically_least():
     ft = flow_qlattice(theta_b())
     w = decide_iso(ft, ft)
     assert w.perm == (0, 1) and w.signs == (1, 1)
+
+
+def decide_iso_recursive(lat1, lat2):
+    """decide_iso as it was before it kept its own stack, one Python frame per
+    basis vector: the order oracle for the witness it returns."""
+    if lat1.rank != lat2.rank:
+        return None
+    k1, c1 = lat1.k, lat1.s
+    k2, c2 = lat2.k, lat2.s
+    if k1 is not None and k2 is not None and k1 != k2:
+        return None
+    n = lat1.rank
+    if n == 0:
+        return SignedPermutation((), ())
+    if sorted(c1[i][i] for i in range(n)) != sorted(c2[i][i] for i in range(n)):
+        return None
+    if normalized_det(lat1) != normalized_det(lat2):
+        return None
+    perm, signs, used = [None] * n, [0] * n, [False] * n
+
+    def ok(i, cand, sign):
+        return c2[i][i] == c1[cand][cand] and all(
+            c1[cand][perm[j]] * sign * signs[j] == c2[i][j] for j in range(i))
+
+    def rec(i):
+        if i == n:
+            return True
+        for cand in range(n):
+            if used[cand]:
+                continue
+            for sign in (1, -1):
+                if ok(i, cand, sign):
+                    perm[i], signs[i], used[cand] = cand, sign, True
+                    if rec(i + 1):
+                        return True
+                    used[cand] = False
+        return False
+
+    if not rec(0):
+        return None
+    return SignedPermutation(tuple(perm), tuple(signs))
+
+
+def test_decide_iso_matches_recursive_order_oracle_on_family_5():
+    rng = random.Random(79)
+    bs = [build_bipartite(g, t, force=True) for g, t in graph_tree_instances(5)]
+    lats = [flow_qlattice(b) for b in bs] + [cut_qlattice(b) for b in bs]
+    lats += [change_basis(lat, random_signed_perm(rng, lat.rank)) for lat in lats]
+    found = 0
+    for x in lats:
+        for y in lats:
+            w = decide_iso(x, y)
+            assert w == decide_iso_recursive(x, y)
+            found += w is not None
+    assert found > len(lats)
+
+
+DEEP_ISO = """
+import sys
+from qlat.lattices import QLattice, SignedPermutation, change_basis, decide_iso
+r = 60
+s = [[i + 1 if i == j else int(abs(i - j) == 1) for j in range(r)] for i in range(r)]
+lat = QLattice(2, s, range(r))
+sp = SignedPermutation(tuple(reversed(range(r))), tuple(-1 if i % 3 else 1 for i in range(r)))
+scrambled = change_basis(lat, sp)
+sys.setrecursionlimit(r // 2)
+w = decide_iso(lat, scrambled)
+print(w == sp)
+"""
+
+
+def test_decide_iso_keeps_its_own_stack():
+    # a rank-60 path lattice against a scramble of itself, with the recursion
+    # limit at 30: one frame per basis vector would raise RecursionError
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", DEEP_ISO], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (out.returncode, out.stdout) == (0, "True\n"), out.stderr
 
 
 def test_lattice_canonical_form_separates_and_identifies():
