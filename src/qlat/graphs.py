@@ -134,28 +134,40 @@ def _reach(adj, start):
     return prev
 
 
-def _find(parent, x):
-    """Union-find root of x, halving the path on the way."""
+def _root(parent, x):
+    """Union-find root of x, leaving the links as they are."""
     while parent[x] != x:
-        parent[x] = parent[parent[x]]
         x = parent[x]
     return x
+
+
+def _union(parent, size, a, b):
+    """Link the smaller of a's and b's components under the larger root.
+
+    Returns the (child, root) pair linked, or None if already joined.
+    """
+    ra, rb = _root(parent, a), _root(parent, b)
+    if ra == rb:
+        return None
+    if size[ra] > size[rb]:
+        ra, rb = rb, ra
+    parent[ra] = rb
+    size[rb] += size[ra]
+    return ra, rb
 
 
 def _forest_edges(g, edge_ids):
     """The edges of edge_ids, in the given order, that join two components."""
     parent = list(range(g.vertex_count + 1))
-    chosen = []
-    for eid in edge_ids:
-        _, a, b = g.edge(eid)
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra != rb:
-            parent[ra] = rb
-            chosen.append(eid)
-    return chosen
+    size = [1] * (g.vertex_count + 1)
+    return [eid for eid in edge_ids if _union(parent, size, *g.edge(eid)[1:])]
 
 
 def is_connected(g):
+    # Exact shortcut: a connected graph has n - 1 edges or more, and a huge
+    # vertex count with few edges then allocates nothing per vertex.
+    if g.edge_count < g.vertex_count - 1:
+        return False
     return len(_reach(g.adjacency(), 1)) == g.vertex_count
 
 
@@ -168,6 +180,8 @@ def bridges(g):
     u-v of the depth-first search is a bridge when no edge other than it
     leads from v's subtree back to u or above.
     """
+    if g.edge_count < g.vertex_count - 1:  # disconnected, as in is_connected
+        return g.non_loop_edges()
     adj = g.adjacency()
     disc = {1: 0}
     low = {1: 0}
@@ -329,24 +343,13 @@ def enumerate_spanning_trees(g):
         if len(cand) - idx < need:
             continue
         _, a, b = g.edge(cand[idx])
-        ra, rb = _root(parent, a), _root(parent, b)
         stack.append(idx + 1)  # exclude cand[idx], once the include branch is done
-        if ra != rb:
-            if size[ra] > size[rb]:
-                ra, rb = rb, ra
-            parent[ra] = rb
-            size[rb] += size[ra]
+        joined = _union(parent, size, a, b)
+        if joined:
             chosen.append(cand[idx])
-            joins.append((ra, rb))
+            joins.append(joined)
             stack += (None, idx + 1)
     return trees
-
-
-def _root(parent, x):
-    """Union-find root of x, leaving the links as they are."""
-    while parent[x] != x:
-        x = parent[x]
-    return x
 
 
 def tree_overlap_counts(g, t):

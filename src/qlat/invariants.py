@@ -19,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bipartite import build_bipartite
-from .graphs import (cut_side, cycle_space_gf2, fundamental_cycle, gf2_in_span,
-                     gf2_reduce, require_valid, tree_overlap_counts)
-from .lattices import QLattice, cut_qlattice, decide_iso, flow_qlattice, normalized_det
+from .bipartite import b_cut, b_cycle, build_bipartite, classical_gram, dual
+from .graphs import (cut_side, cycle_space_gf2, fundamental_cut, fundamental_cycle,
+                     gf2_in_span, gf2_reduce, require_valid, tree_overlap_counts)
+from .lattices import (QLattice, cut_gram_from_algebra, cut_qlattice, decide_iso,
+                       flow_gram_from_algebra, flow_qlattice, normalized_det)
 from .laurent import LaurentPoly, QTElement
 from .matrices import QMatrix
-from .algebra import distinguished_classes, euler_form, k0_gram, k0_gram_inverse
+from .algebra import k0_gram, k0_gram_inverse, koszul_substitute, vertex_order
 
 
 def q_incidence(g, t):
@@ -103,39 +104,6 @@ def cut_basis_change(g, t):
             elif (not in0) and last_in_0:
                 ent[iv - 1][jc] = -1
     return QMatrix(ent, tuple(range(1, g.vertex_count)), tuple(tree_cols))
-
-
-@dataclass(frozen=True)
-class GlueReport:
-    orthogonal: bool
-    dets_equal: bool
-    k0_unimodular: bool
-
-    @property
-    def ok(self):
-        return self.orthogonal and self.dets_equal and self.k0_unimodular
-
-
-def verify_glue(b):
-    """Gluing checks on one signed bipartite graph.
-
-    (a) flow generators pair to zero against cut generators inside the
-    ambient module; (b) flow and cut determinants agree after unit
-    normalization; (c) the ambient Gram determinant is the unit 1.
-    """
-    fams = distinguished_classes(b)
-    order = b.part0 + b.part1
-    n0 = len(b.part0)
-    orthogonal = True
-    for jj in range(n0, len(order)):          # projectives on part1
-        for ii in range(n0):                  # simples on part0
-            val = euler_form(b, fams["projective"][jj], fams["simple"][ii])
-            if not val.is_zero():
-                orthogonal = False
-    dets_equal = normalized_det(flow_qlattice(b)) == normalized_det(cut_qlattice(b))
-    det_k0 = k0_gram(b).det()
-    k0_unimodular = det_k0 == QTElement.one()
-    return GlueReport(orthogonal, dets_equal, k0_unimodular)
 
 
 class _Incidence(NamedTuple):
@@ -260,68 +228,48 @@ def koszul_identity_ok(b):
     """Pairing transport check, entrywise on full Gram matrices.
 
     Compares the simple-basis Gram of b with the projective-basis Gram of
-    the flipped dual under the substitution q -> -q^-1 t.
+    the flipped dual under the substitution q -> -q^-1 t.  The simple
+    classes are the columns C of G^-1, so their Gram C* G C is star(G^-1)
+    once G G^-1 = I, which simples_match_inverse checks in the same
+    battery.
     """
-    from .algebra import gram_in_basis, koszul_substitute, vertex_order
-    from .bipartite import dual
-
     db = dual(b)
-    simple_gram = gram_in_basis(b, "simple")
-    dual_gram = k0_gram(db)
-    order_b = vertex_order(b)
-    order_d = vertex_order(db)
-    pos_d = {v: i for i, v in enumerate(order_d)}
-    for ui, u in enumerate(order_b):
-        for vi, v in enumerate(order_b):
-            lhs = simple_gram[ui, vi]
-            rhs = koszul_substitute(dual_gram[pos_d[u], pos_d[v]])
-            if lhs != rhs:
-                return False
-    return True
+    pos_d = {v: i for i, v in enumerate(vertex_order(db))}
+    idx = [pos_d[v] for v in vertex_order(b)]
+    dual_gram = k0_gram(db).submatrix(idx, idx).map(koszul_substitute)
+    return k0_gram_inverse(b).star() == dual_gram
 
 
 def specialization_matches_classical(b):
-    """Euler pairings at q = 1, t = -1 equal the integer flow/cut Grams."""
-    from .bipartite import classical_gram
+    """Euler pairings at q = 1, t = -1 equal the integer flow/cut Grams.
 
-    g = k0_gram(b)
+    The flow pairings are the part1 block of G and the cut pairings the
+    part0 block of the simple Gram star(G^-1).
+    """
     n0 = len(b.part0)
-    n = n0 + len(b.part1)
-    flow = classical_gram(b, "flow")
-    for i in range(n0, n):
-        for j in range(n0, n):
-            if g[i, j].specialize(q_val=1, t_val=-1) != flow[i - n0, j - n0]:
-                return False
-    from .algebra import gram_in_basis
-    sg = gram_in_basis(b, "simple")
-    cut = classical_gram(b, "cut")
-    for i in range(n0):
-        for j in range(n0):
-            if sg[i, j].specialize(q_val=1, t_val=-1) != cut[i, j]:
-                return False
-    return True
+    p0, p1 = range(n0), range(n0, n0 + len(b.part1))
+    flow = k0_gram(b).submatrix(p1, p1).specialize_t(-1).eval_q(1)
+    cut = k0_gram_inverse(b).star().submatrix(p0, p0).specialize_t(-1).eval_q(1)
+    return flow == classical_gram(b, "flow") and cut == classical_gram(b, "cut")
 
 
 def lattice_routes_agree(b):
     """Closed-form cut/flow Grams equal the graded-algebra restrictions."""
-    from .lattices import cut_gram_from_algebra, flow_gram_from_algebra
-
     return (flow_qlattice(b).gram.entries == flow_gram_from_algebra(b).entries
             and cut_qlattice(b).gram.entries == cut_gram_from_algebra(b).entries)
 
 
 def flow_cut_duality_ok(b):
-    """Flow Gram of b equals cut Gram of the flipped dual, entrywise."""
-    from .bipartite import dual
+    """Flow lattice of b equals cut lattice of the flipped dual, and back.
 
-    return (flow_qlattice(b).gram.entries == cut_qlattice(dual(b)).gram.entries
-            and cut_qlattice(b).gram.entries == flow_qlattice(dual(b)).gram.entries)
+    QLattice equality compares the integer data (k, S).
+    """
+    db = dual(b)
+    return flow_qlattice(b) == cut_qlattice(db) and cut_qlattice(b) == flow_qlattice(db)
 
 
 def sign_duality_ok(g, t):
     """Tree edge i sits in cycle C_j exactly opposite to j's sign in cut K_i."""
-    from .graphs import fundamental_cut
-
     cotree = [e for e in range(1, g.edge_count + 1) if e not in t.tree_edges]
     cuts = {i: fundamental_cut(g, t, i) for i in sorted(t.tree_edges)}
     for j in cotree:
@@ -337,8 +285,6 @@ def sign_duality_ok(g, t):
 
 def bipartite_matches_graph(g, t, b):
     """b_cycle/b_cut agree with the graph-level fundamental vectors."""
-    from .bipartite import b_cut, b_cycle
-
     for j in b.part1:
         cyc = fundamental_cycle(g, t, j)
         vec = b_cycle(b, j)
@@ -346,7 +292,6 @@ def bipartite_matches_graph(g, t, b):
             want = cyc[eid - 1] if (eid in t.tree_edges or eid == j) else 0
             if vec.get(eid, 0) != want:
                 return False
-    from .graphs import fundamental_cut
     for i in b.part0:
         cut = fundamental_cut(g, t, i)
         vec = b_cut(b, i)
@@ -357,30 +302,43 @@ def bipartite_matches_graph(g, t, b):
     return True
 
 
+def _is_identity(m):
+    return m == QMatrix.identity(m.rows, QTElement.one())
+
+
 def simples_match_inverse(b):
     """The resolution classes invert the graded Gram matrix: G G^-1 = I.
 
     G^-1 is built from the linear resolutions (algebra.k0_gram_inverse)
-    and G from hom_qtdim's path count, so the two routes stay independent.
-    tests/test_invariants.py plants a wrong resolution and checks that
-    this fails.
+    and G from the path count (algebra.path_basis), so the two routes stay
+    independent.  tests/test_invariants.py plants a wrong resolution and a
+    wrong path parity and checks that this fails.
     """
-    g = k0_gram(b)
-    return g * k0_gram_inverse(b) == QMatrix.identity(g.rows, QTElement.one())
+    return _is_identity(k0_gram(b) * k0_gram_inverse(b))
 
 
 def bipartite_checks(b):
-    """The checks that need only the signed bipartite graph."""
-    glue = verify_glue(b)
+    """The checks that need only the signed bipartite graph.
+
+    G G^-1 is formed once.  Its (part1, part0) block holds the Euler
+    pairings of the part1 projectives (flow generators) with the part0
+    simples (cut generators), which glue_orthogonal requires to vanish;
+    the whole product is simples_match_inverse.  glue_dets_equal compares
+    the flow and cut determinants after unit normalization, and
+    glue_k0_unimodular requires det G = 1.
+    """
+    g = k0_gram(b)
+    product = g * k0_gram_inverse(b)
+    n0 = len(b.part0)
     return {
-        "glue_orthogonal": glue.orthogonal,
-        "glue_dets_equal": glue.dets_equal,
-        "glue_k0_unimodular": glue.k0_unimodular,
+        "glue_orthogonal": all(not x for row in product.entries[n0:] for x in row[:n0]),
+        "glue_dets_equal": normalized_det(flow_qlattice(b)) == normalized_det(cut_qlattice(b)),
+        "glue_k0_unimodular": g.det() == QTElement.one(),
         "classical_specialization": specialization_matches_classical(b),
         "lattice_routes_agree": lattice_routes_agree(b),
         "flow_cut_duality": flow_cut_duality_ok(b),
         "koszul_identity": koszul_identity_ok(b),
-        "simples_match_inverse": simples_match_inverse(b),
+        "simples_match_inverse": _is_identity(product),
     }
 
 

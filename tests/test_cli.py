@@ -383,17 +383,22 @@ def test_verify_family_5_stdout_is_byte_identical(capsys):
     assert digest.startswith("ec86ca17ab399de7")
 
 
-def test_algebra_caches_stay_bounded_over_a_family(capsys):
+def test_algebra_caches_stay_bounded_over_a_family(files, capsys):
+    """From empty caches, a family run and one verify FILE (whose d_involution
+    sampling reaches d_matrix) hit every cache and stay within its bound."""
     import qlat.algebra
 
     caches = [fn for fn in vars(qlat.algebra).values() if hasattr(fn, "cache_info")]
-    assert len(caches) == 4
+    assert len(caches) == 3
+    for fn in caches:
+        fn.cache_clear()
     assert main(["verify", "--family", "5"]) == 0
+    assert main(["verify", files["theta"]]) == 0
     capsys.readouterr()
     for fn in caches:
         info = fn.cache_info()
         assert info.maxsize == qlat.algebra.CACHE_SIZE and info.currsize <= info.maxsize
-        assert info.hits > 0
+        assert info.hits > 0, fn.__name__
 
 
 @pytest.mark.parametrize("exc", [MemoryError(), RuntimeError("boom")])
@@ -441,7 +446,8 @@ def test_matrix_tree_runs_no_oracle(files, capsys, monkeypatch, tmp_path):
         assert sum(poly["coeffs"]) == n ** (n - 2), n
 
 
-def test_matrix_tree_k10_fits_in_one_gib(tmp_path):
+def _qlat_in_one_gib(*args):
+    """Run `python -m qlat ARGS` in a fresh process under a 1 GiB address-space cap."""
     import os
     import resource
     import subprocess
@@ -452,12 +458,29 @@ def test_matrix_tree_k10_fits_in_one_gib(tmp_path):
 
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    done = subprocess.run([sys.executable, "-m", "qlat", "matrix-tree",
-                           _complete_graph_file(tmp_path, 10)],
+    return subprocess.run([sys.executable, "-m", "qlat", *args],
                           capture_output=True, text=True, env=env, preexec_fn=cap,
                           timeout=120)
+
+
+def test_matrix_tree_k10_fits_in_one_gib(tmp_path):
+    done = _qlat_in_one_gib("matrix-tree", _complete_graph_file(tmp_path, 10))
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("1 + ")
+
+
+def test_huge_vertex_header_allocates_nothing_per_vertex(tmp_path):
+    """Two edges cannot connect 10^9 vertices: every command says so from the
+    header counts, instead of building per-vertex tables."""
+    path = tmp_path / "big.graph"
+    path.write_text("graph big\nvertices 1000000000\nedge 1 1 2 tree\nedge 2 2 1\n")
+    done = _qlat_in_one_gib("verify", str(path))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "FAIL big.validation\nFAILED: 0/1 checks passed\n", "")
+    for args in (["det", "--cut"], ["det", "--flow"], ["matrix-tree", "--oracle"]):
+        done = _qlat_in_one_gib(*args, str(path))
+        assert done.returncode == 2 and done.stdout == "", (args, done.stderr)
+        assert done.stderr.startswith("error: invalid graph/tree pair: disconnected"), args
 
 
 def test_family_pair_sweep_builds_each_record_once(monkeypatch):

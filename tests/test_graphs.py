@@ -86,7 +86,7 @@ def test_enumerate_spanning_trees_counts():
 
 def recursive_spanning_trees(g):
     """The recursive include/exclude search: the order oracle."""
-    from qlat.graphs import _find
+    from qlat.graphs import _root
 
     cand = g.non_loop_edges()
     trees = []
@@ -99,7 +99,7 @@ def recursive_spanning_trees(g):
         if len(cand) - idx < need:
             return
         _, a, b = g.edge(cand[idx])
-        ra, rb = _find(parent, a), _find(parent, b)
+        ra, rb = _root(parent, a), _root(parent, b)
         if ra != rb:
             child = list(parent)
             child[ra] = rb

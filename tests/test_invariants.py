@@ -6,13 +6,14 @@ from qlat import algebra
 from qlat.bipartite import build_bipartite
 from qlat.families import graph_tree_instances
 from qlat.graphs import OrientedMultigraph, SpanningTree, enumerate_spanning_trees
-from qlat.invariants import (cut_basis_change, flow_cut_duality_ok, instance_checks,
-                             koszul_identity_ok, matrix_tree_enum_oracle,
-                             q2iso_instance, q_incidence, q_matrix_tree,
-                             simples_match_inverse, two_iso_search, verify_glue,
+from qlat.invariants import (bipartite_checks, cut_basis_change, flow_cut_duality_ok,
+                             instance_checks, koszul_identity_ok,
+                             matrix_tree_enum_oracle, q2iso_instance, q_incidence,
+                             q_matrix_tree, simples_match_inverse, two_iso_search,
                              verify_q2iso_pair)
 from qlat.lattices import cut_qlattice, decide_iso, flow_qlattice, normalized_det
-from qlat.laurent import LaurentPoly
+from qlat.laurent import LaurentPoly, QTElement
+from qlat.matrices import QMatrix
 from support import find_flow_cut_split_pair, random_signed_bipartite, switch_vertex
 
 
@@ -200,19 +201,26 @@ def test_cut_basis_change_family():
         assert (tm.transpose() * q0 * tm).entries == cut_qlattice(b).gram.entries
 
 
+GLUE_CHECKS = ("glue_orthogonal", "glue_dets_equal", "glue_k0_unimodular")
+
+
+def glue_ok(b):
+    checks = bipartite_checks(b)
+    return all(checks[name] for name in GLUE_CHECKS)
+
+
 def test_verify_glue_examples():
     g, t = triangle()
-    assert verify_glue(build_bipartite(g, t)).ok
+    assert glue_ok(build_bipartite(g, t))
     g, t = theta()
-    assert verify_glue(build_bipartite(g, t)).ok
+    assert glue_ok(build_bipartite(g, t))
 
 
 def test_verify_glue_random_signed():
     rng = random.Random(83)
     for _ in range(60):
         b = random_signed_bipartite(rng, rng.randint(0, 3), rng.randint(0, 3))
-        rep = verify_glue(b)
-        assert rep.ok, b.signs
+        assert glue_ok(b), b.signs
 
 
 def test_two_iso_examples():
@@ -335,6 +343,11 @@ def test_flow_cut_split_pair_search():
         assert b1.neighbors(v)
 
 
+def clear_algebra_caches():
+    for fn in (algebra.k0_gram, algebra.k0_gram_inverse, algebra.d_matrix):
+        fn.cache_clear()
+
+
 def test_planted_resolution_mutant_fails_the_checks(monkeypatch):
     """Flip the t-parity of the first degree-1 summand of every resolution.
     G G^-1 = I must then fail wherever a vertex has an arrow, and on the
@@ -349,24 +362,107 @@ def test_planted_resolution_mutant_fails_the_checks(monkeypatch):
         flipped = ((v, qs, 1 - ts), *rest)
         return algebra.Resolution(res.vertex, (res.steps[0], flipped, *res.steps[2:]))
 
-    caches = (algebra.k0_gram, algebra.k0_gram_inverse, algebra.d_matrix,
-              algebra.distinguished_classes)
     tri = build_bipartite(*triangle())
     family = [build_bipartite(g, t, force=True) for g, t in graph_tree_instances(4)]
     monkeypatch.setattr(algebra, "resolve_simple", mutant)
     try:
-        for fn in caches:
-            fn.cache_clear()
+        clear_algebra_caches()
         assert not simples_match_inverse(tri)
-        assert not verify_glue(tri).orthogonal
+        assert not bipartite_checks(tri)["glue_orthogonal"]
         for b in family:
             has_arrow = any(b.neighbors(v) for v in b.vertices())
             assert simples_match_inverse(b) is not has_arrow, b.signs
     finally:
         monkeypatch.undo()
-        for fn in caches:
-            fn.cache_clear()
-    assert simples_match_inverse(tri) and verify_glue(tri).orthogonal
+        clear_algebra_caches()
+    assert simples_match_inverse(tri) and bipartite_checks(tri)["glue_orthogonal"]
+
+
+def test_planted_path_parity_mutant_fails_simples_match_inverse(monkeypatch):
+    """Flip the t-parity of every length-2 path in the path basis.  G then
+    disagrees with the resolutions wherever there is an edge: the path
+    a -> k -> a puts t q^2 on G's diagonal."""
+    real = algebra.path_basis
+
+    def mutant(b):
+        return [algebra.PathBasisElement(p.source, p.target, p.mid, p.q_degree,
+                                         1 - p.t_degree if p.q_degree == 2 else p.t_degree)
+                for p in real(b)]
+
+    family = [build_bipartite(g, t, force=True) for g, t in graph_tree_instances(4)]
+    with_edge = [b for b in family if b.signs]
+    assert with_edge
+    monkeypatch.setattr(algebra, "path_basis", mutant)
+    try:
+        clear_algebra_caches()
+        for b in with_edge:
+            assert not simples_match_inverse(b), b.signs
+            assert not bipartite_checks(b)["simples_match_inverse"], b.signs
+    finally:
+        monkeypatch.undo()
+        clear_algebra_caches()
+    assert all(simples_match_inverse(b) for b in with_edge)
+
+
+def test_battery_runs_no_general_route(monkeypatch):
+    """bipartite_checks reads G, G^-1 and the integer lattice data only: the
+    basis Grams, the Euler form, the class families and D are never built."""
+    import sys
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the battery reached a general route")
+
+    clear_algebra_caches()
+    for name in ("gram_in_basis", "euler_form", "distinguished_classes", "d_matrix"):
+        real = getattr(algebra, name)
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "qlat" and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, fail)
+    for g, t in graph_tree_instances(4):
+        checks = bipartite_checks(build_bipartite(g, t, force=True))
+        assert all(checks.values()), (g, t, checks)
+
+
+def hom_rule(b, i, j):
+    """The per-entry path rule: idempotent, arrow, then the length-2 paths
+    i -> k -> j through part0 vertices k, between part1 vertices."""
+    p0 = set(b.part0)
+    parity = {key: 0 if s > 0 else 1 for key, s in b.signs.items()}
+    total = QTElement.one() if i == j else QTElement.zero()
+    if (i in p0) != (j in p0):
+        key = (i, j) if i in p0 else (j, i)
+        if key in parity:
+            total = total + QTElement.monomial(1, 1, parity[key])
+    elif i not in p0:
+        for k in b.part0:
+            if (k, i) in parity and (k, j) in parity:
+                total = total + QTElement.monomial(
+                    1, 2, (parity[(k, i)] + parity[(k, j)]) % 2)
+    return total
+
+
+def test_closed_forms_match_general_routes():
+    """On family 5 and 200 sign matrices up to 4+4 (parts may be empty):
+    the simple Gram C* G C equals star(G^-1); the Euler pairings of the
+    part1 projectives with the part0 simples are the (part1, part0) block
+    of G G^-1; and G equals the per-entry path rule."""
+    rng = random.Random(30)
+    inputs = [build_bipartite(g, t, force=True) for g, t in graph_tree_instances(5)]
+    inputs += [random_signed_bipartite(rng, rng.randint(0, 4), rng.randint(0, 4))
+               for _ in range(200)]
+    assert any(not b.part0 for b in inputs) and any(not b.part1 for b in inputs)
+    for b in inputs:
+        g, ginv = algebra.k0_gram(b), algebra.k0_gram_inverse(b)
+        order = algebra.vertex_order(b)
+        n0 = len(b.part0)
+        assert ginv.star() == algebra.gram_in_basis(b, "simple"), b.signs
+        fams = algebra.distinguished_classes(b)
+        product = g * ginv
+        for jj in range(n0, len(order)):
+            for ii in range(n0):
+                pairing = algebra.euler_form(b, fams["projective"][jj], fams["simple"][ii])
+                assert product[jj, ii] == pairing, b.signs
+        assert g == QMatrix([[hom_rule(b, u, v) for v in order] for u in order]), b.signs
 
 
 def test_q2iso_witnesses_are_pinned():
