@@ -168,8 +168,8 @@ def k0_gram_inverse(b):
 
     Read off the linear resolutions (simple_in_projectives), so no
     determinant is taken.  tests/test_algebra.py compares it with the
-    cofactor adjugate of k0_gram, and invariants.simples_match_inverse
-    checks G G^-1 = I against the path-counting G.
+    cofactor adjugate of k0_gram, and the simples_match_inverse check of
+    invariants.bipartite_checks tests G G^-1 = I against the path-counting G.
     """
     order = vertex_order(b)
     return _from_columns([simple_in_projectives(b, v).coords for v in order], order)

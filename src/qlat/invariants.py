@@ -224,32 +224,31 @@ def _maps_cycle_space(g1, g2, mapping):
 # -- reusable boolean checks -------------------------------------------------
 
 
-def koszul_identity_ok(b):
+def koszul_identity_ok(b, simple):
     """Pairing transport check, entrywise on full Gram matrices.
 
     Compares the simple-basis Gram of b with the projective-basis Gram of
     the flipped dual under the substitution q -> -q^-1 t.  The simple
-    classes are the columns C of G^-1, so their Gram C* G C is star(G^-1)
-    once G G^-1 = I, which simples_match_inverse checks in the same
-    battery.
+    classes are the columns C of G^-1, so their Gram C* G C is
+    simple = star(G^-1) once G G^-1 = I, which the simples_match_inverse
+    check of bipartite_checks tests on the same input.
     """
     db = dual(b)
     pos_d = {v: i for i, v in enumerate(vertex_order(db))}
     idx = [pos_d[v] for v in vertex_order(b)]
-    dual_gram = k0_gram(db).submatrix(idx, idx).map(koszul_substitute)
-    return k0_gram_inverse(b).star() == dual_gram
+    return simple == k0_gram(db).submatrix(idx, idx).map(koszul_substitute)
 
 
-def specialization_matches_classical(b):
+def specialization_matches_classical(b, simple):
     """Euler pairings at q = 1, t = -1 equal the integer flow/cut Grams.
 
     The flow pairings are the part1 block of G and the cut pairings the
-    part0 block of the simple Gram star(G^-1).
+    part0 block of the simple Gram, simple = star(G^-1).
     """
     n0 = len(b.part0)
     p0, p1 = range(n0), range(n0, n0 + len(b.part1))
     flow = k0_gram(b).submatrix(p1, p1).specialize_t(-1).eval_q(1)
-    cut = k0_gram_inverse(b).star().submatrix(p0, p0).specialize_t(-1).eval_q(1)
+    cut = simple.submatrix(p0, p0).specialize_t(-1).eval_q(1)
     return flow == classical_gram(b, "flow") and cut == classical_gram(b, "cut")
 
 
@@ -302,43 +301,32 @@ def bipartite_matches_graph(g, t, b):
     return True
 
 
-def _is_identity(m):
-    return m == QMatrix.identity(m.rows, QTElement.one())
-
-
-def simples_match_inverse(b):
-    """The resolution classes invert the graded Gram matrix: G G^-1 = I.
-
-    G^-1 is built from the linear resolutions (algebra.k0_gram_inverse)
-    and G from the path count (algebra.path_basis), so the two routes stay
-    independent.  tests/test_invariants.py plants a wrong resolution and a
-    wrong path parity and checks that this fails.
-    """
-    return _is_identity(k0_gram(b) * k0_gram_inverse(b))
-
-
 def bipartite_checks(b):
     """The checks that need only the signed bipartite graph.
 
-    G G^-1 is formed once.  Its (part1, part0) block holds the Euler
-    pairings of the part1 projectives (flow generators) with the part0
-    simples (cut generators), which glue_orthogonal requires to vanish;
-    the whole product is simples_match_inverse.  glue_dets_equal compares
-    the flow and cut determinants after unit normalization, and
-    glue_k0_unimodular requires det G = 1.
+    G G^-1 and the simple Gram star(G^-1) are formed once.  G comes from
+    the path count (algebra.path_basis) and G^-1 from the linear
+    resolutions (algebra.k0_gram_inverse), so simples_match_inverse, the
+    whole product against I, compares two independent routes.  The
+    product's (part1, part0) block holds the Euler pairings of the part1
+    projectives (flow generators) with the part0 simples (cut
+    generators), which glue_orthogonal requires to vanish.
+    glue_dets_equal compares the flow and cut determinants after unit
+    normalization, and glue_k0_unimodular requires det G = 1.
     """
-    g = k0_gram(b)
-    product = g * k0_gram_inverse(b)
+    g, ginv = k0_gram(b), k0_gram_inverse(b)
+    product = g * ginv
+    simple = ginv.star()
     n0 = len(b.part0)
     return {
         "glue_orthogonal": all(not x for row in product.entries[n0:] for x in row[:n0]),
         "glue_dets_equal": normalized_det(flow_qlattice(b)) == normalized_det(cut_qlattice(b)),
         "glue_k0_unimodular": g.det() == QTElement.one(),
-        "classical_specialization": specialization_matches_classical(b),
+        "classical_specialization": specialization_matches_classical(b, simple),
         "lattice_routes_agree": lattice_routes_agree(b),
         "flow_cut_duality": flow_cut_duality_ok(b),
-        "koszul_identity": koszul_identity_ok(b),
-        "simples_match_inverse": _is_identity(product),
+        "koszul_identity": koszul_identity_ok(b, simple),
+        "simples_match_inverse": product == QMatrix.identity(product.rows, QTElement.one()),
     }
 
 

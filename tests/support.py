@@ -1,5 +1,6 @@
-"""Test-only helpers: random sign matrices, vertex switching, and the
-brute-force canonical form behind the flow/cut split-pair search.
+"""Test-only helpers: random sign matrices, vertex switching, the
+per-entry path rule for the graded Gram, and the brute-force canonical
+form behind the flow/cut split-pair search.
 
 No qlat command reaches these; the tests import them from here.
 """
@@ -9,6 +10,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 from qlat.bipartite import SignedBipartiteGraph
 from qlat.lattices import cut_qlattice, flow_qlattice
+from qlat.laurent import QTElement
 
 
 # -- random sign matrices -------------------------------------------------------
@@ -47,6 +49,28 @@ def bipartite_split_instances(seed, per_split, max_vertices):
             for _ in range(per_split):
                 out.append(random_signed_bipartite(rng, n0, n1))
     return out
+
+
+# -- the per-entry path rule ---------------------------------------------------
+
+
+def hom_rule(b, i, j):
+    """Hom(P_i, P_j) by the per-entry path rule: idempotent, arrow, then
+    the length-2 paths i -> k -> j through part0 vertices k, between part1
+    vertices.  algebra.k0_gram sums path_basis instead."""
+    p0 = set(b.part0)
+    parity = {key: 0 if s > 0 else 1 for key, s in b.signs.items()}
+    total = QTElement.one() if i == j else QTElement.zero()
+    if (i in p0) != (j in p0):
+        key = (i, j) if i in p0 else (j, i)
+        if key in parity:
+            total = total + QTElement.monomial(1, 1, parity[key])
+    elif i not in p0:
+        for k in b.part0:
+            if (k, i) in parity and (k, j) in parity:
+                total = total + QTElement.monomial(
+                    1, 2, (parity[(k, i)] + parity[(k, j)]) % 2)
+    return total
 
 
 def switch_vertex(b, v):

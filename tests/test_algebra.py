@@ -14,7 +14,7 @@ from qlat.families import graph_tree_instances
 from qlat.fileio import emit_bipartite, emit_graph
 from qlat.laurent import LaurentPoly, QTElement
 from qlat.matrices import QMatrix
-from support import random_signed_bipartite, random_signed_bipartites
+from support import hom_rule, random_signed_bipartite, random_signed_bipartites
 
 
 def L(*terms):
@@ -72,7 +72,7 @@ def test_hom_qtdim_worked_example():
     order = vertex_order(b)
     for i, u in enumerate(order):
         for j, v in enumerate(order):
-            assert g[i, j] == hom_qtdim(b, u, v)
+            assert g[i, j] == hom_qtdim(b, u, v) == hom_rule(b, u, v)
 
 
 def test_k0_gram_worked_example():
@@ -367,7 +367,7 @@ def test_specialization_matches_classical_on_family():
     from qlat.invariants import specialization_matches_classical
     for g, t in graph_tree_instances(4):
         b = build_bipartite(g, t, force=True)
-        assert specialization_matches_classical(b)
+        assert specialization_matches_classical(b, k0_gram_inverse(b).star())
 
 
 def _euler_simples_by_resolution(b, i, j):

@@ -9,12 +9,12 @@ from qlat.graphs import OrientedMultigraph, SpanningTree, enumerate_spanning_tre
 from qlat.invariants import (bipartite_checks, cut_basis_change, flow_cut_duality_ok,
                              instance_checks, koszul_identity_ok,
                              matrix_tree_enum_oracle, q2iso_instance, q_incidence,
-                             q_matrix_tree, simples_match_inverse, two_iso_search,
-                             verify_q2iso_pair)
+                             q_matrix_tree, two_iso_search, verify_q2iso_pair)
 from qlat.lattices import cut_qlattice, decide_iso, flow_qlattice, normalized_det
-from qlat.laurent import LaurentPoly, QTElement
+from qlat.laurent import LaurentPoly
 from qlat.matrices import QMatrix
-from support import find_flow_cut_split_pair, random_signed_bipartite, switch_vertex
+from support import (find_flow_cut_split_pair, hom_rule, random_signed_bipartite,
+                     switch_vertex)
 
 
 def L(*terms):
@@ -288,7 +288,8 @@ def test_koszul_identity_on_reoriented_graphs():
     g, t = triangle()
     b = build_bipartite(g, t)
     for v in (1, 2, 3):
-        assert koszul_identity_ok(switch_vertex(b, v))
+        bv = switch_vertex(b, v)
+        assert koszul_identity_ok(bv, algebra.k0_gram_inverse(bv).star())
     assert flow_cut_duality_ok(switch_vertex(b, 1))
 
 
@@ -367,15 +368,16 @@ def test_planted_resolution_mutant_fails_the_checks(monkeypatch):
     monkeypatch.setattr(algebra, "resolve_simple", mutant)
     try:
         clear_algebra_caches()
-        assert not simples_match_inverse(tri)
-        assert not bipartite_checks(tri)["glue_orthogonal"]
+        checks = bipartite_checks(tri)
+        assert not checks["simples_match_inverse"] and not checks["glue_orthogonal"]
         for b in family:
             has_arrow = any(b.neighbors(v) for v in b.vertices())
-            assert simples_match_inverse(b) is not has_arrow, b.signs
+            assert bipartite_checks(b)["simples_match_inverse"] is not has_arrow, b.signs
     finally:
         monkeypatch.undo()
         clear_algebra_caches()
-    assert simples_match_inverse(tri) and bipartite_checks(tri)["glue_orthogonal"]
+    checks = bipartite_checks(tri)
+    assert checks["simples_match_inverse"] and checks["glue_orthogonal"]
 
 
 def test_planted_path_parity_mutant_fails_simples_match_inverse(monkeypatch):
@@ -396,12 +398,11 @@ def test_planted_path_parity_mutant_fails_simples_match_inverse(monkeypatch):
     try:
         clear_algebra_caches()
         for b in with_edge:
-            assert not simples_match_inverse(b), b.signs
             assert not bipartite_checks(b)["simples_match_inverse"], b.signs
     finally:
         monkeypatch.undo()
         clear_algebra_caches()
-    assert all(simples_match_inverse(b) for b in with_edge)
+    assert all(bipartite_checks(b)["simples_match_inverse"] for b in with_edge)
 
 
 def test_battery_runs_no_general_route(monkeypatch):
@@ -421,24 +422,6 @@ def test_battery_runs_no_general_route(monkeypatch):
     for g, t in graph_tree_instances(4):
         checks = bipartite_checks(build_bipartite(g, t, force=True))
         assert all(checks.values()), (g, t, checks)
-
-
-def hom_rule(b, i, j):
-    """The per-entry path rule: idempotent, arrow, then the length-2 paths
-    i -> k -> j through part0 vertices k, between part1 vertices."""
-    p0 = set(b.part0)
-    parity = {key: 0 if s > 0 else 1 for key, s in b.signs.items()}
-    total = QTElement.one() if i == j else QTElement.zero()
-    if (i in p0) != (j in p0):
-        key = (i, j) if i in p0 else (j, i)
-        if key in parity:
-            total = total + QTElement.monomial(1, 1, parity[key])
-    elif i not in p0:
-        for k in b.part0:
-            if (k, i) in parity and (k, j) in parity:
-                total = total + QTElement.monomial(
-                    1, 2, (parity[(k, i)] + parity[(k, j)]) % 2)
-    return total
 
 
 def test_closed_forms_match_general_routes():
