@@ -96,6 +96,18 @@ def k0_gram(b):
     return QMatrix(ent, order, order)
 
 
+def k0_frame(b):
+    """The frame U = [[I, N], [0, I]] in vertex_order(b), N_ij = q t^parity
+    of the edge of part0 i and part1 j, or 0: k0_gram = U^t U, so det G = 1,
+    and G^-1 = [[I + N N^t, -N], [-N^t, I]]."""
+    order = vertex_order(b)
+    pos = {v: n for n, v in enumerate(order)}
+    ent = [[QTElement.one() if r == c else QTElement.zero() for c in order] for r in order]
+    for i, j in b.signs:
+        ent[pos[i]][pos[j]] = QTElement.monomial(1, 1, _edge_parity(b, i, j))
+    return QMatrix(ent, order, order)
+
+
 def hom_qtdim(b, i, j):
     """Graded dimension of the maps between the projectives at i and j:
     the (i, j) entry of k0_gram."""
@@ -177,18 +189,18 @@ def k0_gram_inverse(b):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def d_matrix(b):
-    """Matrix of the duality involution in the projective basis.
+    """Matrix D = G^-1 bar(G) of the duality involution, projective basis.
 
-    The involution is q-anti-linear, fixes every simple class, and acts on
-    projective coordinates as v -> M bar(v) with M = G^-1 bar(G); it
-    squares to the identity and carries projectives to injectives.
+    The involution is q-anti-linear, fixes every simple class, carries
+    projectives to injectives, and acts on coordinates as v -> D bar(v).
+    verify's d_involution asserts D bar(D) = I and D^t G^t bar(D) = G.
     """
     g = k0_gram(b)
     return k0_gram_inverse(b) * g.map(lambda x: x.bar())
 
 
 def apply_d(b, coords):
-    """Apply the duality involution to projective-basis coordinates."""
+    """D bar(v) on projective coordinates: d_matrix's vector-form test oracle."""
     return d_matrix(b).mul_vector(tuple(c.bar() for c in coords))
 
 

@@ -19,7 +19,7 @@ import sys
 from . import algebra, render
 from .bipartite import build_bipartite, dual
 from .fileio import ParseError, emit_bipartite, parse_bipartite, parse_graph, sniff_kind
-from .graphs import validate
+from .graphs import OrientedMultigraph, SpanningTree, validate
 from .invariants import (bipartite_checks, instance_checks, matrix_tree_enum_oracle,
                          q2iso_instance, q_matrix_tree, two_iso_search,
                          verify_q2iso_pair)
@@ -27,7 +27,7 @@ from .families import graph_tree_instances
 from .lattices import (SignedPermutation, change_basis, cut_qlattice,
                        decide_iso, flow_qlattice, norm_shape, normalized_det)
 from .laurent import LaurentPoly
-from .matrices import CRTBoundError
+from .matrices import CRTBoundError, QMatrix, ring_bar
 
 
 def _read(path):
@@ -251,32 +251,19 @@ def _per_input_checks(b, g, t, seed=20250801):
         checks = {"validation": validate(g, t).ok, **instance_checks(g, t)}
     else:
         checks = bipartite_checks(b)
-    checks["d_involution"] = _d_checks(b, seed)
+    checks["d_involution"] = _d_checks(b)
     checks["rigidity_sampling"] = _rigidity_sampling(b, seed, samples=1000)
     checks["iso_round_trip"] = _iso_round_trip(b, seed, rounds=25)
     return checks
 
 
-def _d_checks(b, seed, rounds=100):
-    from .laurent import QTElement
-
-    rng = random.Random(seed)
-    n = len(b.part0) + len(b.part1)
-
-    def rand_qt():
-        ev = LaurentPoly.from_terms((k, rng.randint(-2, 2)) for k in range(-1, 2))
-        od = LaurentPoly.from_terms((k, rng.randint(-2, 2)) for k in range(-1, 2))
-        return QTElement(ev, od)
-
-    for _ in range(rounds):
-        x = tuple(rand_qt() for _ in range(n))
-        y = tuple(rand_qt() for _ in range(n))
-        dx, dy = algebra.apply_d(b, x), algebra.apply_d(b, y)
-        if algebra.apply_d(b, dx) != x:
-            return False
-        if algebra.euler_form(b, x, y) != algebra.euler_form(b, dy, dx):
-            return False
-    return True
+def _d_checks(b):
+    """D bar(D) = I and D^t G^t bar(D) = G for the cached D = G^-1 bar(G):
+    v -> D bar(v) is an involution and <x, y> = <Dy, Dx> for all x, y."""
+    d, g = algebra.d_matrix(b), algebra.k0_gram(b)
+    bar_d = d.map(ring_bar)
+    return (d * bar_d == QMatrix.identity(d.rows, g.sample())
+            and d.transpose() * g.transpose() * bar_d == g)
 
 
 def _rigidity_sampling(b, seed, samples=1000):
@@ -323,8 +310,6 @@ def _iso_round_trip(b, seed, rounds=25):
 
 def _family_instance_worker(packed):
     idx, vertex_count, edges, tree = packed
-    from .graphs import OrientedMultigraph, SpanningTree
-
     g = OrientedMultigraph(vertex_count, edges)
     t = SpanningTree(tree)
     return idx, instance_checks(g, t)

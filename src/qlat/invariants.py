@@ -26,7 +26,7 @@ from .lattices import (QLattice, cut_gram_from_algebra, cut_qlattice, decide_iso
                        flow_gram_from_algebra, flow_qlattice, normalized_det)
 from .laurent import LaurentPoly, QTElement
 from .matrices import QMatrix
-from .algebra import k0_gram, k0_gram_inverse, koszul_substitute, vertex_order
+from .algebra import k0_frame, k0_gram, k0_gram_inverse, koszul_substitute, vertex_order
 
 
 def q_incidence(g, t):
@@ -225,18 +225,19 @@ def _maps_cycle_space(g1, g2, mapping):
 
 
 def koszul_identity_ok(b, simple):
-    """Pairing transport check, entrywise on full Gram matrices.
-
-    Compares the simple-basis Gram of b with the projective-basis Gram of
-    the flipped dual under the substitution q -> -q^-1 t.  The simple
-    classes are the columns C of G^-1, so their Gram C* G C is
-    simple = star(G^-1) once G G^-1 = I, which the simples_match_inverse
-    check of bipartite_checks tests on the same input.
+    """Pairing transport check: the simple Gram of b, simple = star(G^-1)
+    (C* G C for the columns C of G^-1, once simples_match_inverse holds),
+    equals the flipped dual's Gram U^t U (U its algebra.k0_frame) under the
+    ring map sigma: q -> -q^-1 t, so sigma maps only U's N block entries.
+    G^-1 comes from the resolutions, so the two sides share no route.
     """
     db = dual(b)
+    u, n0 = k0_frame(db), len(db.part0)
+    top = [row[:n0] + tuple(map(koszul_substitute, row[n0:])) for row in u.entries[:n0]]
+    su = QMatrix(top + list(u.entries[n0:]), u.row_labels, u.col_labels)
     pos_d = {v: i for i, v in enumerate(vertex_order(db))}
     idx = [pos_d[v] for v in vertex_order(b)]
-    return simple == k0_gram(db).submatrix(idx, idx).map(koszul_substitute)
+    return simple == (su.transpose() * su).submatrix(idx, idx)
 
 
 def specialization_matches_classical(b, simple):
@@ -312,16 +313,17 @@ def bipartite_checks(b):
     projectives (flow generators) with the part0 simples (cut
     generators), which glue_orthogonal requires to vanish.
     glue_dets_equal compares the flow and cut determinants after unit
-    normalization, and glue_k0_unimodular requires det G = 1.
+    normalization, and glue_k0_unimodular requires G = U^t U for the
+    unitriangular algebra.k0_frame U, which gives det G = 1.
     """
-    g, ginv = k0_gram(b), k0_gram_inverse(b)
+    g, ginv, u = k0_gram(b), k0_gram_inverse(b), k0_frame(b)
     product = g * ginv
     simple = ginv.star()
     n0 = len(b.part0)
     return {
         "glue_orthogonal": all(not x for row in product.entries[n0:] for x in row[:n0]),
         "glue_dets_equal": normalized_det(flow_qlattice(b)) == normalized_det(cut_qlattice(b)),
-        "glue_k0_unimodular": g.det() == QTElement.one(),
+        "glue_k0_unimodular": g == u.transpose() * u,
         "classical_specialization": specialization_matches_classical(b, simple),
         "lattice_routes_agree": lattice_routes_agree(b),
         "flow_cut_duality": flow_cut_duality_ok(b),

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from qlat.algebra import (BASIS_TAGS, K0Vector, apply_d, d_matrix, distinguished_classes,
-                          euler_form, gram_in_basis, hom_qtdim, k0_gram,
+                          euler_form, gram_in_basis, hom_qtdim, k0_frame, k0_gram,
                           k0_gram_inverse, koszul_substitute, koszul_transport,
                           path_basis, resolve_simple, simple_in_projectives,
                           to_projective, vertex_order)
@@ -294,6 +294,43 @@ def test_injective_gram_is_bar_of_projective_gram():
         assert gi == g, (b.signs,)
         gl = gram_in_basis(b, "simple")
         assert gl == g.map(lambda x: x.bar()).inverse("unit")
+
+
+def _frame_blocks(b):
+    """U = [[I, N], [0, I]] and [[I + N N^t, -N], [-N^t, I]], with
+    N_ij = q t^[sign(i, j) < 0] read straight off the signs."""
+    zero, one = QTElement.zero(), QTElement.one()
+    n0, n1 = len(b.part0), len(b.part1)
+    nm = [[QTElement.monomial(1, 1, int(b.sign(i, j) < 0)) if b.sign(i, j) else zero
+           for j in b.part1] for i in b.part0]
+
+    def eye(r, c):
+        return one if r == c else zero
+
+    u = ([[eye(r, c) for c in range(n0)] + nm[r] for r in range(n0)]
+         + [[zero] * n0 + [eye(r, c) for c in range(n1)] for r in range(n1)])
+    ginv = ([[eye(r, c) + sum((nm[r][k] * nm[c][k] for k in range(n1)), zero)
+              for c in range(n0)] + [-x for x in nm[r]] for r in range(n0)]
+            + [[-nm[c][r] for c in range(n0)] + [eye(r, c) for c in range(n1)]
+               for r in range(n1)])
+    order = vertex_order(b)
+    return QMatrix(u, order, order), QMatrix(ginv, order, order)
+
+
+def test_k0_frame_factors_gram_and_inverse():
+    """G = U^t U and G^-1 = [[I + N N^t, -N], [-N^t, I]] for b and its dual,
+    on every bipartite graph of family 5 and 200 sign matrices up to 4+4
+    (parts may be empty)."""
+    rng = random.Random(31)
+    inputs = [build_bipartite(g, t, force=True) for g, t in graph_tree_instances(5)]
+    inputs += [random_signed_bipartite(rng, rng.randint(0, 4), rng.randint(0, 4))
+               for _ in range(200)]
+    assert any(not b.part0 for b in inputs) and any(not b.part1 for b in inputs)
+    for b in inputs + [dual(b) for b in inputs]:
+        u, ginv = _frame_blocks(b)
+        assert k0_frame(b) == u, b.signs
+        assert k0_gram(b) == u.transpose() * u, b.signs
+        assert k0_gram_inverse(b) == ginv, b.signs
 
 
 def test_koszul_transport_basics():

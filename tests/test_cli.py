@@ -7,6 +7,7 @@ from qlat.cli import main
 from qlat.laurent import LaurentPoly
 from qlat.render import matrix_text, poly_latex, poly_text, qt_text
 from qlat.laurent import QTElement
+from qlat.matrices import QMatrix
 
 TRIANGLE = """\
 graph triangle
@@ -210,12 +211,20 @@ def test_verify_json(files, capsys):
 
 
 def test_verify_bipartite_file(files, capsys, tmp_path):
+    """The triangle's bipartite graph and the degenerate ones with an empty
+    part (or both parts empty) pass all 11 checks."""
     assert main(["build-bipartite", files["triangle"]]) == 0
-    bp = tmp_path / "t.bipartite"
-    bp.write_text(capsys.readouterr().out)
-    assert main(["verify", str(bp)]) == 0
-    out = capsys.readouterr().out
-    assert "koszul_identity" in out and "FAIL" not in out
+    texts = [capsys.readouterr().out,
+             "bipartite none\npart0\npart1\n",
+             "bipartite right\npart0\npart1 1 2\n",
+             "bipartite left\npart0 1 2 3\npart1\n"]
+    for k, text in enumerate(texts):
+        bp = tmp_path / f"t{k}.bipartite"
+        bp.write_text(text)
+        assert main(["verify", str(bp)]) == 0
+        out = capsys.readouterr().out
+        assert "koszul_identity" in out and "FAIL" not in out
+        assert sum(line.startswith("PASS ") for line in out.splitlines()) == 11
 
 
 def test_bridged_input_warns_on_stderr(tmp_path, capsys):
@@ -384,8 +393,10 @@ def test_verify_family_5_stdout_is_byte_identical(capsys):
 
 
 def test_algebra_caches_stay_bounded_over_a_family(files, capsys):
-    """From empty caches, a family run and one verify FILE (whose d_involution
-    sampling reaches d_matrix) hit every cache and stay within its bound."""
+    """From empty caches, a family run, one verify FILE (whose d_involution
+    reads d_matrix) and algebra --classes on the same file (whose injective
+    and costandard classes read it again) hit every cache and stay within
+    its bound."""
     import qlat.algebra
 
     caches = [fn for fn in vars(qlat.algebra).values() if hasattr(fn, "cache_info")]
@@ -394,6 +405,7 @@ def test_algebra_caches_stay_bounded_over_a_family(files, capsys):
         fn.cache_clear()
     assert main(["verify", "--family", "5"]) == 0
     assert main(["verify", files["theta"]]) == 0
+    assert main(["algebra", "--classes", files["theta"]]) == 0
     capsys.readouterr()
     for fn in caches:
         info = fn.cache_info()
@@ -426,6 +438,66 @@ def _complete_graph_file(tmp_path, n):
     path = tmp_path / f"k{n}.graph"
     path.write_text(emit_graph(g, t, f"k{n}"))
     return str(path)
+
+
+def test_verify_takes_no_qt_determinant(capsys, monkeypatch, tmp_path):
+    """verify on K5, on K5's bipartite file and on family 4 prints the same
+    report, and exits 0, with the QT determinant kernel patched to raise."""
+    import qlat.matrices
+    from qlat import algebra
+    from qlat.bipartite import SignedBipartiteGraph
+
+    k5 = _complete_graph_file(tmp_path, 5)
+    assert main(["build-bipartite", k5]) == 0
+    bp = tmp_path / "k5.bipartite"
+    bp.write_text(capsys.readouterr().out)
+    runs = [["verify", k5], ["verify", str(bp)], ["verify", "--family", "4"]]
+    expected = []
+    for argv in runs:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+
+    def fail(entries):
+        raise AssertionError("verify took a QT determinant")
+
+    monkeypatch.setattr(qlat.matrices, "_det_qt", fail)
+    with pytest.raises(AssertionError):
+        algebra.k0_gram(SignedBipartiteGraph([1], [2], {(1, 2): -1})).det()
+    for fn in (algebra.k0_gram, algebra.k0_gram_inverse, algebra.d_matrix):
+        fn.cache_clear()
+    for argv, out in zip(runs, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
+
+def test_planted_d_matrix_mutant_fails_d_involution(files, capsys, monkeypatch):
+    """One wrong entry of D, at each position in turn, fails the exact
+    d_involution identities; verify then reports that check alone."""
+    from qlat import algebra
+    from qlat.bipartite import SignedBipartiteGraph
+    from qlat.cli import _d_checks
+
+    def with_wrong_entry(d, r, c):
+        ent = [list(row) for row in d.entries]
+        ent[r][c] = ent[r][c] + QTElement.monomial(1, 1, 1)
+        return QMatrix(ent, d.row_labels, d.col_labels)
+
+    real = algebra.d_matrix
+    inputs = [SignedBipartiteGraph([1, 2], [3], {(1, 3): -1, (2, 3): -1}),
+              SignedBipartiteGraph([1, 2], [3, 4], {(1, 3): 1, (1, 4): -1, (2, 3): 1})]
+    for b in inputs:
+        assert _d_checks(b)
+        d = real(b)
+        for r in range(d.rows):
+            for c in range(d.cols):
+                mutant = with_wrong_entry(d, r, c)
+                monkeypatch.setattr(algebra, "d_matrix", lambda _b, m=mutant: m)
+                assert not _d_checks(b), (b.signs, r, c)
+        monkeypatch.undo()
+    monkeypatch.setattr(algebra, "d_matrix", lambda b: with_wrong_entry(real(b), 0, 1))
+    assert main(["verify", files["theta"]]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert fails == ["FAIL theta.d_involution"]
 
 
 def test_matrix_tree_runs_no_oracle(files, capsys, monkeypatch, tmp_path):

@@ -380,29 +380,55 @@ def test_planted_resolution_mutant_fails_the_checks(monkeypatch):
     assert checks["simples_match_inverse"] and checks["glue_orthogonal"]
 
 
-def test_planted_path_parity_mutant_fails_simples_match_inverse(monkeypatch):
-    """Flip the t-parity of every length-2 path in the path basis.  G then
-    disagrees with the resolutions wherever there is an edge: the path
-    a -> k -> a puts t q^2 on G's diagonal."""
-    real = algebra.path_basis
-
+def path_parity_mutant(real):
+    """path_basis with the t-parity of every length-2 path flipped."""
     def mutant(b):
         return [algebra.PathBasisElement(p.source, p.target, p.mid, p.q_degree,
                                          1 - p.t_degree if p.q_degree == 2 else p.t_degree)
                 for p in real(b)]
+    return mutant
 
+
+def assert_path_parity_mutant_fails(monkeypatch, check):
+    """Under path_parity_mutant, check fails on every family-4 input with an
+    edge, and passes again once the real path basis is back."""
     family = [build_bipartite(g, t, force=True) for g, t in graph_tree_instances(4)]
     with_edge = [b for b in family if b.signs]
     assert with_edge
-    monkeypatch.setattr(algebra, "path_basis", mutant)
+    monkeypatch.setattr(algebra, "path_basis", path_parity_mutant(algebra.path_basis))
     try:
         clear_algebra_caches()
         for b in with_edge:
-            assert not bipartite_checks(b)["simples_match_inverse"], b.signs
+            assert not bipartite_checks(b)[check], b.signs
     finally:
         monkeypatch.undo()
         clear_algebra_caches()
-    assert all(bipartite_checks(b)["simples_match_inverse"] for b in with_edge)
+    assert all(bipartite_checks(b)[check] for b in with_edge)
+
+
+def test_planted_path_parity_mutant_fails_simples_match_inverse(monkeypatch):
+    """G then disagrees with the resolutions wherever there is an edge: the
+    path a -> k -> a puts t q^2 on G's diagonal."""
+    assert_path_parity_mutant_fails(monkeypatch, "simples_match_inverse")
+
+
+def test_planted_path_parity_mutant_fails_glue_k0_unimodular(monkeypatch):
+    """G then leaves U^t U wherever there is an edge, while the frame U,
+    read off the signs, stays as it was."""
+    assert_path_parity_mutant_fails(monkeypatch, "glue_k0_unimodular")
+
+
+def test_planted_untwisted_substitution_fails_koszul_identity(monkeypatch):
+    """koszul_substitute without the t twist (q -> -q^-1) fails
+    koszul_identity on every family-5 input with an edge: sigma of an arrow
+    q t^p must be -q^-1 t^(p+1)."""
+    import qlat.invariants
+
+    family = [build_bipartite(g, t, force=True) for g, t in graph_tree_instances(5)]
+    assert any(b.signs for b in family) and not all(b.signs for b in family)
+    monkeypatch.setattr(qlat.invariants, "koszul_substitute", lambda x: x.subst_q())
+    for b in family:
+        assert bipartite_checks(b)["koszul_identity"] is not bool(b.signs), b.signs
 
 
 def test_battery_runs_no_general_route(monkeypatch):
