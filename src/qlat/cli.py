@@ -495,6 +495,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for option in ("jobs", "family"):
+            value = getattr(args, option, None)
+            if value is not None and value < 1:
+                raise ValueError(f"--{option} must be at least 1, got {value}")
         return args.func(args)
     except ValueError as exc:  # ParseError included
         sys.stderr.write(f"error: {exc}\n")

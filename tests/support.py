@@ -1,6 +1,7 @@
 """Test-only helpers: random sign matrices, vertex switching, the
-per-entry path rule for the graded Gram, and the brute-force canonical
-form behind the flow/cut split-pair search.
+per-entry path rule for the graded Gram, the brute-force canonical form
+behind the flow/cut split-pair search, and the generate-then-dedup
+family generator.
 
 No qlat command reaches these; the tests import them from here.
 """
@@ -9,6 +10,8 @@ import random
 from itertools import combinations_with_replacement, permutations, product
 
 from qlat.bipartite import SignedBipartiteGraph
+from qlat.families import _canonical_form
+from qlat.graphs import OrientedMultigraph, bridges, is_connected
 from qlat.lattices import cut_qlattice, flow_qlattice
 from qlat.laurent import QTElement
 
@@ -187,3 +190,35 @@ def find_flow_cut_split_pair(max_part0=2, max_part1=2, limit=1, guided=True):
                 if len(found) >= limit:
                     return found
     return found
+
+
+# -- the generate-then-dedup family generator -----------------------------------
+
+
+def connected_bridgeless_multigraphs(max_edges, loopless=False):
+    """All connected bridgeless multigraphs with <= max_edges edges, up to iso.
+
+    Edges are oriented low vertex -> high vertex and numbered in sorted
+    order, which is harmless: none of the lattice isomorphism classes in
+    play depend on the orientation.
+    """
+    out = []
+    seen = set()
+    for m in range(1, max_edges + 1):
+        for n in range(1, m + 1):
+            pool = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)
+                    if not (loopless and a == b)]
+            for pairs in combinations_with_replacement(pool, m):
+                used = {v for p in pairs for v in p}
+                if len(used) != n:
+                    continue
+                g = OrientedMultigraph(
+                    n, [(i + 1, a, b) for i, (a, b) in enumerate(sorted(pairs))])
+                if not is_connected(g) or bridges(g):
+                    continue
+                key = (n, _canonical_form(n, pairs))
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append(g)
+    return out

@@ -427,6 +427,17 @@ def test_unexpected_failure_exits_3_without_traceback(files, capsys, monkeypatch
     assert captured.err == f"error: internal failure ({type(exc).__name__}): {exc}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--family", "-1"], "--family must be at least 1, got -1"),
+    (["verify", "--family", "0"], "--family must be at least 1, got 0"),
+    (["--jobs", "-3", "verify", "--family", "2"], "--jobs must be at least 1, got -3"),
+    (["--jobs", "0", "verify", "--family", "2"], "--jobs must be at least 1, got 0"),
+])
+def test_counts_below_one_are_usage_errors(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def _complete_graph_file(tmp_path, n):
     """K_n with the star at vertex 1 as its tree."""
     from qlat.fileio import emit_graph
