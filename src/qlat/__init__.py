@@ -19,7 +19,7 @@ from .algebra import (K0Vector, PathBasisElement, d_matrix,
                       koszul_transport, path_basis, resolve_simple,
                       simple_in_projectives)
 from .lattices import (QLattice, SignedPermutation, change_basis, cut_qlattice,
-                       decide_iso, flow_qlattice, norm_shape, normalized_det)
+                       decide_iso, flow_qlattice, normalized_det)
 from .invariants import (Q2IsoInstance, Q2IsoReport, cut_basis_change,
                          matrix_tree_enum_oracle, q2iso_instance, q_matrix_tree,
                          two_iso_search, verify_q2iso_pair)

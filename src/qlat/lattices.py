@@ -14,9 +14,13 @@ cycles (flow) or cuts (cut) v_i:
 and are cross-checked against the graded-algebra route (the part1 block
 of the Gram matrix, resp. the part0 block of its inverse, at t = -1).
 Bases of this shape are rigid: any vector of norm 1 + c q^k is a unit
-multiple of a basis vector, so lattice isomorphism reduces to a
-signed-permutation search over the integer matrices S (unit factors
-cancel within each connected block of S).
+multiple of a basis vector.  Proof: <x, x> = A + q^k P with
+A = sum bar(x_i) x_i and P = sum S_ij bar(x_i) x_j, both bar-invariant as
+S is symmetric; 1 + c q^k = A + q^k P and its bar give
+(q^2k - 1)(c - P) = 0, so A = 1; the constant term of A is the sum of the
+squares of all coefficients of x, so x = +-q^j e_i.  Lattice isomorphism
+thus reduces to a signed-permutation search over the integer matrices S
+(unit factors cancel within each connected block of S).
 """
 
 from __future__ import annotations
@@ -141,18 +145,6 @@ def normalized_det(lat):
             _, det = full.normalize_unit()
         object.__setattr__(lat, "_det", det)
     return lat._det
-
-
-def norm_shape(lat, coords, k=2):
-    """Return c when <x, x> = 1 + c q^k exactly, else None."""
-    n = lat.pairing(coords, coords)
-    diff = n - LaurentPoly.one()
-    if diff.is_zero():
-        return 0
-    terms = list(diff.terms())
-    if len(terms) == 1 and terms[0][0] == k:
-        return terms[0][1]
-    return None
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Test-only helpers: random sign matrices, vertex switching, the
 per-entry path rule for the graded Gram, the brute-force canonical form
-behind the flow/cut split-pair search, and the generate-then-dedup
-family generator.
+behind the flow/cut split-pair search, the sampled rigidity oracle, and
+the generate-then-dedup family generator.
 
 No qlat command reaches these; the tests import them from here.
 """
@@ -13,7 +13,7 @@ from qlat.bipartite import SignedBipartiteGraph
 from qlat.families import _canonical_form
 from qlat.graphs import OrientedMultigraph, bridges, is_connected
 from qlat.lattices import cut_qlattice, flow_qlattice
-from qlat.laurent import QTElement
+from qlat.laurent import LaurentPoly, QTElement
 
 
 # -- random sign matrices -------------------------------------------------------
@@ -190,6 +190,43 @@ def find_flow_cut_split_pair(max_part0=2, max_part1=2, limit=1, guided=True):
                 if len(found) >= limit:
                     return found
     return found
+
+
+# -- the sampled rigidity oracle -------------------------------------------------
+
+
+def norm_shape(lat, coords, k=2):
+    """Return c when <x, x> = 1 + c q^k exactly, else None."""
+    n = lat.pairing(coords, coords)
+    diff = n - LaurentPoly.one()
+    if diff.is_zero():
+        return 0
+    terms = list(diff.terms())
+    if len(terms) == 1 and terms[0][0] == k:
+        return terms[0][1]
+    return None
+
+
+def rigidity_sampler(lat, seed, samples=1000):
+    """The sampled rigidity check that verify ran before the exact one.
+
+    A random vector whose norm is exactly 1 + c q^2 has to have a single
+    nonzero coordinate equal to some +-q^j.
+    """
+    rng = random.Random(seed + 1)
+    n = lat.rank
+    if n == 0:
+        return True
+    for _ in range(samples):
+        vec = tuple(
+            LaurentPoly.from_terms((k, rng.randint(-3, 3)) for k in range(-2, 3))
+            for _ in range(n))
+        if norm_shape(lat, vec) is None:
+            continue
+        nonzero = [c for c in vec if not c.is_zero()]
+        if len(nonzero) != 1 or nonzero[0].unit_value() is None:
+            return False
+    return True
 
 
 # -- the generate-then-dedup family generator -----------------------------------

@@ -511,6 +511,111 @@ def test_planted_d_matrix_mutant_fails_d_involution(files, capsys, monkeypatch):
     assert fails == ["FAIL theta.d_involution"]
 
 
+def _theta_bipartite():
+    from qlat.bipartite import build_bipartite
+    from qlat.fileio import parse_graph
+
+    g, t, _ = parse_graph(THETA)
+    return build_bipartite(g, t)
+
+
+def _flow_gram_mutants(gram):
+    """Three wrong flow Grams: a q^1 off-diagonal pair, an asymmetric pair of
+    q^2 coefficients, and a diagonal entry 1 + q^2 + q^4."""
+    q = LaurentPoly.q_power
+    one = LaurentPoly.one()
+
+    def replaced(*changes):
+        ent = [list(row) for row in gram.entries]
+        for (i, j), x in changes:
+            ent[i][j] = x
+        return QMatrix(ent, gram.row_labels, gram.col_labels)
+
+    c = gram[0, 1].coefficient(2)
+    return {"q1_off_diagonal": replaced(((0, 1), q(1)), ((1, 0), q(1))),
+            "asymmetric_pair": replaced(((1, 0), q(2, c + 1))),
+            "diagonal_q4": replaced(((0, 0), one + q(2) + q(4)))}
+
+
+def test_planted_flow_gram_mutants_fail_rigidity(files, capsys, monkeypatch):
+    """The exact rigidity check fails on each wrong algebra-route flow Gram;
+    verify then reports that check alone."""
+    import qlat.cli
+    from qlat.cli import _rigidity_sampling
+    from qlat.lattices import flow_gram_from_algebra
+
+    b = _theta_bipartite()
+    assert _rigidity_sampling(b)
+    for name, mutant in _flow_gram_mutants(flow_gram_from_algebra(b)).items():
+        monkeypatch.setattr(qlat.cli, "flow_gram_from_algebra", lambda _b, m=mutant: m)
+        assert not _rigidity_sampling(b), name
+        assert main(["verify", files["theta"]]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("FAIL ")]
+        assert fails == ["FAIL theta.rigidity_sampling"], name
+
+
+def test_planted_witness_sign_flip_fails_iso_round_trip(files, capsys, monkeypatch):
+    """A decide_iso witness with one sign flipped, at an index where S has a
+    nonzero off-diagonal entry, fails the integer check (k, P^t S P) and the
+    Laurent oracle P* G P alike."""
+    import qlat.cli
+    from qlat.cli import _iso_round_trip
+    from qlat.lattices import SignedPermutation, decide_iso
+
+    flipped = []
+
+    def flip_one_sign(lat1, lat2):
+        w = decide_iso(lat1, lat2)
+        s = lat2.s
+        i = next((i for i, row in enumerate(s)
+                  if any(x for j, x in enumerate(row) if j != i)), None)
+        if i is None:
+            return w
+        signs = list(w.signs)
+        signs[i] = -signs[i]
+        bad = SignedPermutation(w.perm, tuple(signs))
+        pm = bad.matrix(LaurentPoly.one())
+        assert (pm.star() * lat1.gram * pm).entries != lat2.gram.entries
+        flipped.append(bad)
+        return bad
+
+    b = _theta_bipartite()
+    assert _iso_round_trip(b, 20250801)
+    monkeypatch.setattr(qlat.cli, "decide_iso", flip_one_sign)
+    assert not _iso_round_trip(b, 20250801)
+    assert flipped
+    assert main(["verify", files["theta"]]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert fails == ["FAIL theta.iso_round_trip"]
+
+
+def test_verify_evaluates_no_q_norm(capsys, monkeypatch, tmp_path):
+    """verify on K5 and on K5's bipartite file prints the same report, and
+    exits 0, with the lattice pairing patched to raise: rigidity is read off
+    the Gram, not sampled through norms."""
+    import qlat.lattices
+
+    k5 = _complete_graph_file(tmp_path, 5)
+    assert main(["build-bipartite", k5]) == 0
+    bp = tmp_path / "k5.bipartite"
+    bp.write_text(capsys.readouterr().out)
+    runs = [["verify", k5], ["verify", str(bp)]]
+    expected = []
+    for argv in runs:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+
+    def fail(*args):
+        raise AssertionError("verify evaluated a q-norm")
+
+    assert not hasattr(qlat.lattices, "norm_shape")
+    monkeypatch.setattr(qlat.lattices.QLattice, "pairing", fail)
+    for argv, out in zip(runs, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
+
 def test_matrix_tree_runs_no_oracle(files, capsys, monkeypatch, tmp_path):
     """matrix-tree prints det Q0 without enumerating a tree or taking the
     cut-lattice determinant; the coefficients of K_n sum to Cayley's n^(n-2)."""

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlat.bipartite import build_bipartite, classical_gram, dual
 from qlat.cli import main
@@ -14,11 +15,11 @@ from qlat.fileio import emit_bipartite, emit_graph
 from qlat.graphs import OrientedMultigraph, SpanningTree
 from qlat.lattices import (QLattice, SignedPermutation, change_basis,
                            cut_gram_from_algebra, cut_qlattice, decide_iso,
-                           flow_gram_from_algebra, flow_qlattice, norm_shape,
-                           normalized_det)
+                           flow_gram_from_algebra, flow_qlattice, normalized_det)
 from qlat.laurent import LaurentPoly
 from qlat.matrices import QMatrix
-from support import lattice_canonical_form, random_signed_bipartite, random_signed_bipartites
+from support import (lattice_canonical_form, norm_shape, random_signed_bipartite,
+                     random_signed_bipartites, rigidity_sampler)
 
 
 def L(*terms):
@@ -356,22 +357,56 @@ def test_cut_det_constant_coefficient_is_one():
 
 
 def test_rigidity_sampling_flow_lattices():
-    # random vectors with a rigid norm shape are unit multiples of basis vectors
-    rng = random.Random(79)
-    for b in (triangle_b(), theta_b()):
+    """The sampled oracle passes on every family-5 flow lattice, one per
+    isomorphism class, and the exact check verify runs passes on every
+    family-5 instance."""
+    from qlat.cli import _rigidity_sampling
+
+    bs = [build_bipartite(g, t, force=True) for g, t in graph_tree_instances(5)]
+    classes = {}
+    for b in bs:
         lat = flow_qlattice(b)
-        n = lat.rank
-        hits = 0
-        for _ in range(1000):
-            vec = tuple(LaurentPoly.from_terms(
-                (k, rng.randint(-3, 3)) for k in range(-2, 3)) for _ in range(n))
-            c = norm_shape(lat, vec)
-            if c is None:
-                continue
-            hits += 1
-            nonzero = [x for x in vec if not x.is_zero()]
-            assert len(nonzero) == 1 and nonzero[0].unit_value() is not None
-        assert hits >= 0
+        classes.setdefault(lattice_canonical_form(lat), lat)
+    assert len(classes) == 37
+    assert all(rigidity_sampler(lat, 20250801) for lat in classes.values())
+    assert all(_rigidity_sampling(b) for b in bs)
+
+
+@st.composite
+def lattices_and_vectors(draw):
+    """A lattice I + q^k S of rank <= 4 (S = 0 included) and sparse vectors:
+    each coordinate has at most two terms, so norm-shape hits occur."""
+    n = draw(st.integers(0, 4))
+    entry = st.just(0) if draw(st.booleans()) else st.integers(-2, 2)
+    s = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s[i][j] = s[j][i] = draw(entry)
+    lat = QLattice(draw(st.sampled_from((-3, -2, -1, 1, 2, 3))), s, range(n))
+    coord = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                     max_size=2).map(LaurentPoly.from_terms)
+    vecs = draw(st.lists(st.lists(coord, min_size=n, max_size=n), max_size=20))
+    return lat, [tuple(v) for v in vecs]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(lattices_and_vectors())
+def test_rigidity_lemma_on_random_lattices(case):
+    """For Gram I + q^k S, S symmetric, <x, x> = A + q^k P with A and P
+    bar-invariant, so a norm 1 + c q^k forces A = 1: x is some +-q^j e_i.
+    The norm-shape hits are exactly those vectors."""
+    lat, vecs = case
+    n = lat.rank
+    for v in vecs:
+        nonzero = [x for x in v if not x.is_zero()]
+        unit = len(nonzero) == 1 and nonzero[0].unit_value() is not None
+        assert (norm_shape(lat, v, k=lat.k) is not None) == unit, (lat.s, lat.k, v)
+    zero = LaurentPoly.zero()
+    for i in range(n):
+        for j in (-2, 0, 3):
+            for sign in (1, -1):
+                v = tuple(LaurentPoly.q_power(j, sign) if a == i else zero for a in range(n))
+                assert norm_shape(lat, v, k=lat.k) == lat.s[i][i]
 
 
 # -- the integer data (k, S) against the Laurent Gram ---------------------------
