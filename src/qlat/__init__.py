@@ -21,7 +21,7 @@ from .algebra import (K0Vector, PathBasisElement, d_matrix,
 from .lattices import (QLattice, SignedPermutation, change_basis, cut_qlattice,
                        decide_iso, flow_qlattice, normalized_det)
 from .invariants import (Q2IsoInstance, Q2IsoReport, cut_basis_change,
-                         matrix_tree_enum_oracle, q2iso_instance, q_matrix_tree,
-                         two_iso_search, verify_q2iso_pair)
+                         matrix_tree_enum_oracle, q2iso_classes, q2iso_instance,
+                         q_matrix_tree, two_iso_search, verify_q2iso_pair)
 
 __version__ = "0.1.0"

@@ -22,8 +22,7 @@ from .bipartite import build_bipartite, dual
 from .fileio import ParseError, emit_bipartite, parse_bipartite, parse_graph, sniff_kind
 from .graphs import OrientedMultigraph, SpanningTree, validate
 from .invariants import (bipartite_checks, instance_checks, matrix_tree_enum_oracle,
-                         q2iso_instance, q_matrix_tree, two_iso_search,
-                         verify_q2iso_pair)
+                         q2iso_classes, q2iso_instance, q_matrix_tree, two_iso_search)
 from .families import graph_tree_instances
 from .lattices import (SignedPermutation, change_basis, cut_qlattice, decide_iso,
                        flow_gram_from_algebra, flow_qlattice, normalized_det)
@@ -356,20 +355,22 @@ def _family_checks(max_edges, jobs):
 
 
 def _family_pair_checks(instances):
-    """Three-way q2iso agreement on every pair of the loopless valid
-    sub-family; each instance's record is built once."""
+    """(pairs, disagreements) of the q2iso theorem on the loopless valid
+    sub-family of e instances, each instance's record built once.
+
+    The three predicates are equivalence relations, so agreeing on all
+    e(e + 1)/2 pairs is the same as having equal partitions:
+    disagreements counts the failures q2iso_classes reports (a diagonal
+    pair not related three ways, a record related to two class
+    representatives) plus the records whose three class labels differ.
+    """
     eligible = [q2iso_instance(g, t) for g, t in instances
                 if not any(g.is_loop(e) for e in range(1, g.edge_count + 1))
                 and validate(g, t).ok]
-    disagreements = 0
-    pairs = 0
-    for a in range(len(eligible)):
-        for bdx in range(a, len(eligible)):
-            rep = verify_q2iso_pair(eligible[a], eligible[bdx])
-            pairs += 1
-            if not rep.agree:
-                disagreements += 1
-    return pairs, disagreements
+    flow, cut, two_iso, failures = q2iso_classes(eligible)
+    mismatched = sum(not f == c == t for f, c, t in zip(flow, cut, two_iso))
+    e = len(eligible)
+    return e * (e + 1) // 2, failures + mismatched
 
 
 def cmd_verify(args):

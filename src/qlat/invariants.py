@@ -10,8 +10,13 @@ normalized cut-lattice determinant.  The two-isomorphism search decides
 whether a tree-preserving, cycle-preserving edge bijection exists.  For
 the paired cross-validation each (graph, tree) instance is turned once
 into a record (its q-flow and q-cut lattices and its fundamental
-incidence), and each pair of records is then compared three ways:
-two-isomorphism and signed-permutation isomorphism of both lattices.
+incidence).  The three predicates compared on records (two-isomorphism
+and signed-permutation isomorphism of both lattices) are equivalence
+relations, so q2iso_classes builds each one's partition of the records
+once, comparing a record only with the class representatives found so
+far among the records that agree with it on everything the predicate
+checks before it searches; the theorem holds on the family when the
+three partitions are equal.
 """
 
 from __future__ import annotations
@@ -393,3 +398,49 @@ def verify_q2iso_pair(x, y):
     cw = decide_iso(x.cut, y.cut)
     tw = _least_two_iso(x.incidence, y.incidence)
     return Q2IsoReport(fw is not None, tw is not None, cw is not None, fw, tw, cw)
+
+
+def _lattice_key(lat):
+    """What decide_iso compares before it searches: the rank, the diagonal
+    multiset of S and the normalized determinant."""
+    s = lat.s
+    return len(s), tuple(sorted(s[i][i] for i in range(len(s)))), normalized_det(lat)
+
+
+def _two_iso_key(inc):
+    """What _least_two_iso compares before it searches."""
+    return inc.g.edge_count, inc.g.vertex_count, inc.sig_sorted
+
+
+def q2iso_classes(records):
+    """(flow, cut, two_iso, failures) for a list of q2iso_instance records.
+
+    Each partition is a tuple giving, for each record, the index of its
+    class representative, the first record of its class.  A record is
+    compared only with the representatives of its bucket (the records
+    sharing its _lattice_key or _two_iso_key), as (representative,
+    record): a pair in different buckets is one the predicate answers
+    None before it searches.  failures counts the records that
+    verify_q2iso_pair(x, x) does not find related to themselves by all
+    three predicates, and each record related to two representatives of
+    one partition, a failure of transitivity; such a record is labelled
+    with the first.
+    """
+    failures = sum(not (r.flow_iso and r.cut_iso and r.two_iso)
+                   for r in (verify_q2iso_pair(x, x) for x in records))
+    partitions = []
+    for key, related in (
+            (lambda x: _lattice_key(x.flow), lambda x, y: decide_iso(x.flow, y.flow)),
+            (lambda x: _lattice_key(x.cut), lambda x, y: decide_iso(x.cut, y.cut)),
+            (lambda x: _two_iso_key(x.incidence),
+             lambda x, y: _least_two_iso(x.incidence, y.incidence))):
+        reps, labels = {}, []
+        for i, x in enumerate(records):
+            bucket = reps.setdefault(key(x), [])
+            hits = [r for r in bucket if related(records[r], x) is not None]
+            failures += len(hits) > 1
+            if not hits:
+                bucket.append(i)
+            labels.append(hits[0] if hits else i)
+        partitions.append(tuple(labels))
+    return (*partitions, failures)

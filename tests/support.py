@@ -1,7 +1,7 @@
 """Test-only helpers: random sign matrices, vertex switching, the
 per-entry path rule for the graded Gram, the brute-force canonical form
-behind the flow/cut split-pair search, the sampled rigidity oracle, and
-the generate-then-dedup family generator.
+behind the flow/cut split-pair search, the sampled rigidity oracle, the
+generate-then-dedup family generator, and the all-pairs q2iso sweep.
 
 No qlat command reaches these; the tests import them from here.
 """
@@ -11,7 +11,8 @@ from itertools import combinations_with_replacement, permutations, product
 
 from qlat.bipartite import SignedBipartiteGraph
 from qlat.families import _canonical_form
-from qlat.graphs import OrientedMultigraph, bridges, is_connected
+from qlat.graphs import OrientedMultigraph, bridges, is_connected, validate
+from qlat.invariants import q2iso_instance, verify_q2iso_pair
 from qlat.lattices import cut_qlattice, flow_qlattice
 from qlat.laurent import LaurentPoly, QTElement
 
@@ -259,3 +260,30 @@ def connected_bridgeless_multigraphs(max_edges, loopless=False):
                 seen.add(key)
                 out.append(g)
     return out
+
+
+# -- the all-pairs q2iso sweep ---------------------------------------------------
+
+
+def q2iso_records(instances):
+    """The q2iso records of the loopless valid instances, in sweep order."""
+    return [q2iso_instance(g, t) for g, t in instances
+            if not any(g.is_loop(e) for e in range(1, g.edge_count + 1))
+            and validate(g, t).ok]
+
+
+def all_pairs_sweep(instances):
+    """(pairs, disagreements) as verify --family counted them before the
+    sweep compared classes: verify_q2iso_pair on every pair a <= b of the
+    loopless valid sub-family, one disagreement per pair whose three
+    predicates do not agree."""
+    eligible = q2iso_records(instances)
+    disagreements = 0
+    pairs = 0
+    for a in range(len(eligible)):
+        for bdx in range(a, len(eligible)):
+            rep = verify_q2iso_pair(eligible[a], eligible[bdx])
+            pairs += 1
+            if not rep.agree:
+                disagreements += 1
+    return pairs, disagreements

@@ -392,6 +392,16 @@ def test_verify_family_5_stdout_is_byte_identical(capsys):
     assert digest.startswith("ec86ca17ab399de7")
 
 
+def test_verify_family_6_stdout_is_byte_identical(capsys):
+    """The family-6 report, 47,278 q2iso pairs, hashes to its pinned sha256
+    prefix, as the family-5 report does."""
+    import hashlib
+
+    assert main(["verify", "--family", "6"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest.startswith("92a42edaaa7acf12")
+
+
 def test_algebra_caches_stay_bounded_over_a_family(files, capsys):
     """From empty caches, a family run, one verify FILE (whose d_involution
     reads d_matrix) and algebra --classes on the same file (whose injective
@@ -672,7 +682,8 @@ def test_huge_vertex_header_allocates_nothing_per_vertex(tmp_path):
 
 
 def test_family_pair_sweep_builds_each_record_once(monkeypatch):
-    """One q-flow lattice per eligible instance, and still every pair."""
+    """One q-flow lattice per eligible instance, and the report still
+    counts every pair."""
     import qlat.cli
     import qlat.invariants
     from qlat.families import graph_tree_instances
@@ -759,3 +770,85 @@ def test_family_pair_sweep_takes_each_det_once(monkeypatch):
     e = len(built)
     assert pairs == e * (e + 1) // 2 and disagreements == 0
     assert 0 < len(calls) <= 2 * e
+
+
+def test_family_pair_sweep_matches_the_all_pairs_oracle():
+    """The class sweep returns what verify_q2iso_pair on every pair a <= b
+    returned, on families 1..5."""
+    import qlat.cli
+    from qlat.families import graph_tree_instances
+    from support import all_pairs_sweep
+
+    for n in range(1, 6):
+        instances = graph_tree_instances(n)
+        assert qlat.cli._family_pair_checks(instances) == all_pairs_sweep(instances), n
+
+
+def _family5():
+    """Family 5, and the flow and cut partitions of its q2iso records."""
+    from qlat.families import graph_tree_instances
+    from qlat.invariants import q2iso_classes
+    from support import q2iso_records
+
+    instances = graph_tree_instances(5)
+    return instances, q2iso_classes(q2iso_records(instances))[:2]
+
+
+def _sweeps(instances):
+    """Disagreements of the class sweep and of the all-pairs oracle."""
+    import qlat.cli
+    from support import all_pairs_sweep
+
+    return [sweep(instances)[1] for sweep in (qlat.cli._family_pair_checks, all_pairs_sweep)]
+
+
+def _refuse(monkeypatch, side, refused, e):
+    """Makes decide_iso refuse the (i, j) pairs in refused of the side
+    ("flow" or "cut") lattices, i and j indexing the e records that each
+    sweep builds, in order."""
+    import qlat.invariants
+
+    pos, built = {}, [0]
+    build, real = getattr(qlat.invariants, f"{side}_qlattice"), qlat.invariants.decide_iso
+
+    def tracked(b):
+        lat = build(b)
+        pos[id(lat)] = built[0] % e
+        built[0] += 1
+        return lat
+
+    monkeypatch.setattr(qlat.invariants, f"{side}_qlattice", tracked)
+    monkeypatch.setattr(qlat.invariants, "decide_iso", lambda x, y: None if (
+        pos.get(id(x)), pos.get(id(y))) in refused else real(x, y))
+
+
+def test_family_pair_sweep_catches_a_refused_cut_pair(monkeypatch):
+    """decide_iso refusing one cut record its class representative splits
+    the cut partition from the flow partition."""
+    instances, (_, cut) = _family5()
+    member = next(i for i, r in enumerate(cut) if r != i)
+    _refuse(monkeypatch, "cut", {(cut[member], member)}, len(cut))
+    assert _sweeps(instances) == [1, 1]
+
+
+def test_family_pair_sweep_catches_an_irreflexive_predicate(monkeypatch):
+    """A two-isomorphism search that answers None on (x, x) fails every
+    diagonal pair."""
+    import qlat.invariants
+
+    instances, (flow, _) = _family5()
+    real = qlat.invariants._least_two_iso
+    monkeypatch.setattr(qlat.invariants, "_least_two_iso",
+                        lambda x, y: None if x is y else real(x, y))
+    assert _sweeps(instances) == [len(flow), len(flow)]
+
+
+def test_family_pair_sweep_catches_a_non_transitive_flow_predicate(monkeypatch):
+    """A flow predicate refusing (a, b) for the first three members
+    a < b < c of a flow class makes b a representative and puts c, and
+    each later member, in two flow classes."""
+    instances, (flow, _) = _family5()
+    members = next(m for m in ([i for i, r in enumerate(flow) if r == rep]
+                               for rep in sorted(set(flow))) if len(m) >= 3)
+    _refuse(monkeypatch, "flow", {tuple(members[:2])}, len(flow))
+    assert _sweeps(instances) == [len(members) - 1, 1]

@@ -6,15 +6,16 @@ from qlat import algebra
 from qlat.bipartite import build_bipartite
 from qlat.families import graph_tree_instances
 from qlat.graphs import OrientedMultigraph, SpanningTree, enumerate_spanning_trees
-from qlat.invariants import (bipartite_checks, cut_basis_change, flow_cut_duality_ok,
-                             instance_checks, koszul_identity_ok,
-                             matrix_tree_enum_oracle, q2iso_instance, q_incidence,
-                             q_matrix_tree, two_iso_search, verify_q2iso_pair)
+from qlat.invariants import (_lattice_key, _two_iso_key, bipartite_checks,
+                             cut_basis_change, flow_cut_duality_ok, instance_checks,
+                             koszul_identity_ok, matrix_tree_enum_oracle, q2iso_classes,
+                             q2iso_instance, q_incidence, q_matrix_tree, two_iso_search,
+                             verify_q2iso_pair)
 from qlat.lattices import cut_qlattice, decide_iso, flow_qlattice, normalized_det
 from qlat.laurent import LaurentPoly
 from qlat.matrices import QMatrix
-from support import (find_flow_cut_split_pair, hom_rule, random_signed_bipartite,
-                     switch_vertex)
+from support import (find_flow_cut_split_pair, hom_rule, q2iso_records,
+                     random_signed_bipartite, switch_vertex)
 
 
 def L(*terms):
@@ -479,9 +480,7 @@ def test_q2iso_witnesses_are_pinned():
     pair, in sweep order, hash to a pinned sha256 prefix; the family hashes
     pin only the pair count and the verdict."""
     import hashlib
-    from qlat.graphs import validate
-    eligible = [q2iso_instance(g, t) for g, t in graph_tree_instances(5, loopless=True)
-                if validate(g, t).ok]
+    eligible = q2iso_records(graph_tree_instances(5))
 
     def show(w):
         return "none" if w is None else f"{list(w.perm)}{list(w.signs)}"
@@ -513,3 +512,43 @@ def test_q2iso_pair_reads_only_its_records(monkeypatch):
     assert rep.agree and rep.flow_iso and rep.two_iso and rep.cut_iso
     monkeypatch.undo()
     assert rep.two_iso_witness == two_iso_search(g, t, g, SpanningTree({2, 3})) == (2, 3, 1)
+
+
+def test_q2iso_classes_are_the_all_pairs_relations():
+    """On family 5 each predicate, over all ordered pairs, relates exactly
+    the records that q2iso_classes puts in one class, so it is symmetric
+    and transitive there; and it refuses every pair whose bucket keys
+    differ, so bucketing drops no related pair."""
+    records = q2iso_records(graph_tree_instances(5))
+    flow, cut, two_iso, failures = q2iso_classes(records)
+    assert failures == 0
+    assert 1 < len(set(flow)) < len(records)
+    keys = [(_lattice_key(x.flow), _lattice_key(x.cut), _two_iso_key(x.incidence))
+            for x in records]
+    for a, x in enumerate(records):
+        for b, y in enumerate(records):
+            rep = verify_q2iso_pair(x, y)
+            for labels, related, ka, kb in zip((flow, cut, two_iso),
+                                               (rep.flow_iso, rep.cut_iso, rep.two_iso),
+                                               keys[a], keys[b]):
+                assert related == (labels[a] == labels[b]), (a, b)
+                assert ka == kb or not related, (a, b)
+
+
+def test_q2iso_classes_count_a_record_related_to_two_representatives(monkeypatch):
+    """A flow predicate made non-transitive, refusing (a, b) for the first
+    three members a < b < c of a flow class, makes b a second
+    representative; c and every later member then match both a and b,
+    and each such record is one failure, labelled with a."""
+    from qlat import invariants
+    records = q2iso_records(graph_tree_instances(5))
+    flow, cut, two_iso, _ = q2iso_classes(records)
+    members = next(m for m in ([i for i, r in enumerate(flow) if r == rep]
+                               for rep in sorted(set(flow))) if len(m) >= 3)
+    a, b, c = members[:3]
+    real = invariants.decide_iso
+    monkeypatch.setattr(invariants, "decide_iso", lambda x, y: None if (
+        x is records[a].flow and y is records[b].flow) else real(x, y))
+    planted = q2iso_classes(records)
+    assert (planted[0][b], planted[0][c]) == (b, a)
+    assert planted[1:] == (cut, two_iso, len(members) - 2)
